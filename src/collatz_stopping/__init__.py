@@ -34,6 +34,7 @@ from .verify import (
     ResidueBlock,
     SurvivalRecord,
     VerificationReport,
+    level_residues,
     residue_table,
     sieve,
     verify_range,
@@ -63,6 +64,7 @@ __all__ = [
     "kappa",
     "ladder_rows",
     "lambda_step",
+    "level_residues",
     "lex_tuples",
     "ln_count",
     "min_surviving_n",

@@ -21,10 +21,10 @@ from .ptree import (
     leading_ones,
     lex_tuples,
     ln_count,
-    vset_levels,
+    tree_node_count,
 )
 from .triangle import build_triangle, w, z_from_triangle
-from .verify import residue_table, sieve, verify_range
+from .verify import level_residues, sieve, verify_range
 
 # Feasibility bounds for sequence emission; anything past them is refused.
 MAX_LADDER_TERMS = 100_000
@@ -192,8 +192,7 @@ def _cmd_residues(args) -> int:
     n = args.sigma_index
     if n < 1:
         raise UsageError(f"level must be >= 1, got {n}")
-    entries = generate_vset(n)
-    xs = sorted(solve_vector(e.vector).x for e in entries)
+    xs = level_residues(n)
     sig = sigma_n(n)
     print(f"sigma(x) = {sig}")
     print(f"if x = {', '.join(map(str, xs))} (mod {1 << sig})")
@@ -259,16 +258,19 @@ def _oeis_terms(seq: str, terms: int) -> list[int]:
         table = build_triangle(terms)
         return [1] + [z_from_triangle(table, n) for n in range(2, terms + 1)]
     assert seq == "A177789"
+    # one term per tree node, counted from the triangle before anything is built
+    available = tree_node_count(1, MAX_RESIDUE_LEVEL)
+    if terms > available:
+        raise UsageError(
+            f"A177789 emission is bounded at levels n <= {MAX_RESIDUE_LEVEL} "
+            f"({available} terms); requested {terms}"
+        )
     values: list[int] = []
-    levels = vset_levels(MAX_RESIDUE_LEVEL)
     for n in range(1, MAX_RESIDUE_LEVEL + 1):
-        values.extend(sorted(solve_vector(e.vector).x for e in levels[n]))
         if len(values) >= terms:
-            return values[:terms]
-    raise UsageError(
-        f"A177789 emission is bounded at levels n <= {MAX_RESIDUE_LEVEL} "
-        f"({len(values)} terms); requested {terms}"
-    )
+            break
+        values.extend(level_residues(n))
+    return values[:terms]
 
 
 def _check_bound(seq: str, terms: int, bound: int) -> None:

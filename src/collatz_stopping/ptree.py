@@ -17,10 +17,12 @@ and the residue recurrences all refer to it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 from math import comb
 
 from .core import Bits
+from .diophantine import solve_vector
 from .ladder import d, kappa
 from .triangle import build_triangle, z_from_triangle
 
@@ -63,7 +65,7 @@ def trailing_zeros(bits: Bits) -> int:
     return j
 
 
-def _extend_level(prev: list[VSetEntry], n: int) -> list[VSetEntry]:
+def _extend_level(prev: tuple[VSetEntry, ...], n: int) -> tuple[VSetEntry, ...]:
     suffix = (1,) if d(n) == 1 else (0, 1)
     terminal = (1,) * (n + 1) + (0,) * (kappa(n) - n)
     raw: list[tuple[Bits, tuple[str, int]]] = []
@@ -78,35 +80,41 @@ def _extend_level(prev: list[VSetEntry], n: int) -> list[VSetEntry]:
             raw.append((tuple(cur), ("step2", len(raw) - 1)))
         if raw[-1][0] == terminal:
             break
-    assert raw[-1][0] == terminal, "level did not close on the all-leading-ones vector"
+    if raw[-1][0] != terminal:
+        raise RuntimeError(f"level {n} did not close on the all-leading-ones vector")
     out = []
     per_h: dict[int, int] = {}
     for vec, parent in raw:
         h = leading_ones(vec)
         per_h[h] = per_h.get(h, 0) + 1
         out.append(VSetEntry(vector=vec, n=n, h=h, p=per_h[h], parent=parent))
-    return out
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def _built_level(n: int) -> tuple[VSetEntry, ...]:
+    """Level n, extended from level n-1 once per process and kept."""
+    if n < 1:
+        raise ValueError(f"level must be >= 1, got {n}")
+    return (ROOT,) if n == 1 else _extend_level(_built_level(n - 1), n)
 
 
 def vset_levels(n_max: int) -> dict[int, list[VSetEntry]]:
     """Levels 1..n_max, each in emission order."""
     if n_max < 1:
         raise ValueError(f"level must be >= 1, got {n_max}")
-    levels = {1: [ROOT]}
-    for n in range(2, n_max + 1):
-        levels[n] = _extend_level(levels[n - 1], n)
-    return levels
+    return {n: list(_built_level(n)) for n in range(1, n_max + 1)}
 
 
 def generate_vset(n: int) -> list[VSetEntry]:
     """The level-n vector set in emission order."""
-    return vset_levels(n)[n]
+    return list(_built_level(n))
 
 
 def phn_counts(n: int) -> dict[int, int]:
     """Histogram of leading-ones counts h over the level-n set."""
     counts: dict[int, int] = {}
-    for entry in generate_vset(n):
+    for entry in _built_level(n):
         counts[entry.h] = counts.get(entry.h, 0) + 1
     return counts
 
@@ -178,12 +186,6 @@ def export_tree(
     count = tree_node_count(n_lo, n_hi)
     if count > max_nodes:
         raise TreeSizeError(count, max_nodes)
-    levels = vset_levels(n_hi)
-    solve = None
-    if with_solutions:
-        from .diophantine import solve_vector
-
-        solve = solve_vector
     lines = [
         "digraph parity_vector_tree {",
         "  rankdir=LR;",
@@ -191,14 +193,14 @@ def export_tree(
     ]
     for n in range(n_lo, n_hi + 1):
         lines.append(f"  {{ rank=same; /* level {n} */")
-        for i, entry in enumerate(levels[n]):
+        for i, entry in enumerate(_built_level(n)):
             label = "(" + ",".join(map(str, entry.vector)) + ")"
-            if solve is not None:
-                label += f"\\nx={solve(entry.vector).x}"
+            if with_solutions:
+                label += f"\\nx={solve_vector(entry.vector).x}"
             lines.append(f'    v{n}_{i} [label="{label}"];')
         lines.append("  }")
     for n in range(n_lo, n_hi + 1):
-        for i, entry in enumerate(levels[n]):
+        for i, entry in enumerate(_built_level(n)):
             if entry.parent is None:
                 continue
             kind, pi = entry.parent

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from .diophantine import solve_vector
 from .ladder import sigma_n
-from .ptree import vset_levels
+from .ptree import generate_vset, vset_levels
 from .triangle import build_triangle, w
 
 SIEVE_MAX_DEPTH = 26
@@ -89,25 +89,32 @@ class ResidueBlock:
         return 1 << self.sigma
 
 
+def _solved_residues(n: int, entries) -> tuple[int, ...]:
+    solutions = [solve_vector(e.vector) for e in entries]
+    if not all(s.member for s in solutions):
+        raise RuntimeError(f"level {n} holds a vector whose solution is not a member")
+    return tuple(sorted(s.x for s in solutions))
+
+
+def level_residues(n: int) -> tuple[int, ...]:
+    """Ascending residues (mod 2^sigma_n) of the level-n classes: the tree's
+    level-n vectors, each solved."""
+    return _solved_residues(n, generate_vset(n))
+
+
 def residue_table(n_max: int) -> list[ResidueBlock]:
     """Stopping-time classes: the trivial sigma = 1, 2 blocks followed by the
     ascending solved class list of each level n = 1..n_max."""
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
-    blocks = [
+    levels = vset_levels(n_max)
+    return [
         ResidueBlock(sigma=1, n=None, residues=(0,)),
         ResidueBlock(sigma=2, n=None, residues=(1,)),
+    ] + [
+        ResidueBlock(sigma=sigma_n(n), n=n, residues=_solved_residues(n, levels[n]))
+        for n in range(1, n_max + 1)
     ]
-    levels = vset_levels(n_max)
-    for n in range(1, n_max + 1):
-        solutions = [solve_vector(e.vector) for e in levels[n]]
-        assert all(s.member for s in solutions)  # tree levels hold exactly the members
-        blocks.append(
-            ResidueBlock(
-                sigma=sigma_n(n), n=n, residues=tuple(sorted(s.x for s in solutions))
-            )
-        )
-    return blocks
 
 
 @dataclass(frozen=True)
@@ -139,12 +146,10 @@ _WORKER_BUDGET = 0
 
 
 def _prediction_classes(n_max: int) -> Classes:
-    levels = vset_levels(n_max)
     classes = []
     for n in range(1, n_max + 1):
         sig = sigma_n(n)
-        members = frozenset(solve_vector(e.vector).x for e in levels[n])
-        classes.append((sig, (1 << sig) - 1, members))
+        classes.append((sig, (1 << sig) - 1, frozenset(level_residues(n))))
     return classes
 
 
@@ -218,6 +223,8 @@ def verify_range(
         raise ValueError(f"n_max must be >= 1, got {n_max}")
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
+    if block_size < 1:
+        raise ValueError(f"block_size must be >= 1, got {block_size}")
     classes = _prediction_classes(n_max)
     budget = sigma_n(n_max) + 1
     blocks = [

@@ -211,3 +211,26 @@ def test_output_is_byte_identical_across_runs_and_jobs():
     third = run("2")
     assert first.returncode == second.returncode == third.returncode == 0
     assert first.stdout == second.stdout == third.stdout
+
+
+def _cleared_level_cache():
+    from collatz_stopping import ptree
+
+    ptree._built_level.cache_clear()
+    return ptree._built_level
+
+
+def test_oeis_refusal_builds_no_level(run_cli):
+    cache = _cleared_level_cache()
+    code, out, err = run_cli("oeis", "A177789", "--terms", "81118")
+    assert code == 2 and out == ""
+    assert "bounded at levels n <= 14 (81117 terms); requested 81118" in err
+    assert cache.cache_info().currsize == 0
+
+
+def test_oeis_residues_stop_at_the_completing_level(run_cli):
+    # 313 = z(1) + ... + z(8): levels 9..14 are never built
+    cache = _cleared_level_cache()
+    code, out, _ = run_cli("oeis", "A177789", "--terms", "313")
+    assert code == 0 and len(out.split()) == 313
+    assert cache.cache_info().currsize == 8

@@ -3,6 +3,7 @@ import pytest
 from collatz_stopping.diophantine import solve_vector
 from collatz_stopping.ladder import kappa
 from collatz_stopping.ptree import (
+    ROOT,
     TreeSizeError,
     VSetEntry,
     export_tree,
@@ -185,3 +186,27 @@ def test_trailing_zeros_helper():
     assert trailing_zeros((1, 1, 0, 1)) == 0
     assert trailing_zeros((1, 1, 1, 0)) == 1
     assert trailing_zeros((1, 1, 1, 1, 1, 0, 0)) == 2
+
+
+def test_level_that_does_not_close_raises(monkeypatch):
+    from collatz_stopping import ptree
+
+    prev = tuple(generate_vset(3))
+    # a terminal vector one zero longer than any level-4 vector is never emitted
+    monkeypatch.setattr(ptree, "kappa", lambda n: kappa(n) + 1)
+    with pytest.raises(RuntimeError, match="did not close"):
+        ptree._extend_level(prev, 4)
+
+
+def test_returned_levels_are_fresh_copies():
+    expected = [e.vector for e in generate_vset(5)]
+    generate_vset(5).clear()
+    levels = vset_levels(5)
+    levels[5].pop()
+    levels[4].append(ROOT)
+    del levels[3]
+    assert [e.vector for e in generate_vset(5)] == expected
+    again = vset_levels(5)
+    assert sorted(again) == [1, 2, 3, 4, 5]
+    assert [e.vector for e in again[5]] == expected
+    assert ROOT not in again[4]

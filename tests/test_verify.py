@@ -5,6 +5,7 @@ from collatz_stopping.ladder import sigma_n
 from collatz_stopping.triangle import build_triangle, w
 from collatz_stopping.verify import (
     SieveBoundError,
+    level_residues,
     residue_table,
     sieve,
     verify_range,
@@ -146,3 +147,22 @@ def test_verify_range_preconditions():
         verify_range(10, 5, 4)
     with pytest.raises(ValueError):
         verify_range(2, 10, 0)
+
+
+@pytest.mark.parametrize("block_size", [0, -1])
+def test_verify_range_rejects_non_positive_block_size(block_size):
+    with pytest.raises(ValueError, match="block_size"):
+        verify_range(2, 1000, 5, block_size=block_size)
+
+
+def test_level_residues_refuses_a_non_member(monkeypatch):
+    from collatz_stopping import verify
+    from collatz_stopping.diophantine import Solution
+
+    monkeypatch.setattr(
+        verify, "solve_vector", lambda v: Solution(x=3, y=0, vector=v, member=False)
+    )
+    with pytest.raises(RuntimeError, match="not a member"):
+        level_residues(3)
+    with pytest.raises(RuntimeError, match="not a member"):
+        residue_table(3)

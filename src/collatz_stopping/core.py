@@ -53,16 +53,9 @@ def stopping_time(x: int, cap: int) -> int | None:
 
 def parity_vector_of(x: int, n: int) -> Bits:
     """Parities of T^0(x) .. T^kappa(n)(x), a 0/1 tuple of length kappa(n)+1."""
-    if x < 1:
-        raise ValueError(f"x must be >= 1, got {x}")
     if n < 1:
         raise ValueError(f"level must be >= 1, got {n}")
-    bits = []
-    t = x
-    for _ in range(kappa(n) + 1):
-        bits.append(t & 1)
-        t = t // 2 if t % 2 == 0 else (3 * t + 1) // 2
-    return tuple(bits)
+    return tuple(t & 1 for t in trajectory(x, kappa(n)))
 
 
 def forward_map(r: int, k: int) -> tuple[int, int]:

@@ -6,7 +6,9 @@ and the integers whose trajectory prefix has parities v are exactly the x
 with 2^sigma_n | 3^(n+1) * x + S.  Since 3^(n+1) is odd it is invertible
 mod 2^sigma_n, so each vector has one solution x in (0, 2^sigma_n), found
 here by modular inverse rather than by an odd-multiplier scan; the scan
-survives as lambda_step, an independent cross-check route.
+survives as lambda_step, an independent cross-check route.  Membership is
+decided by simulating x's own trajectory once, the same walk that confirms
+the solution reproduces v; the consistency checks raise RuntimeError.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import TYPE_CHECKING
 
-from .core import Bits, parity_vector_of, stopping_time
+from .core import Bits, parity_vector_of, trajectory
 from .ladder import d, kappa, sigma_n
 
 if TYPE_CHECKING:
@@ -27,8 +29,8 @@ class Solution:
     """The unique in-range solution of one vector's divisibility condition.
 
     member is True when x really has stopping time sigma_n, decided by
-    direct simulation; candidate tuples outside the level set solve the
-    same kind of equation but stop earlier.
+    simulating its trajectory; candidate tuples outside the level set solve
+    the same kind of equation but stop earlier.
     """
 
     x: int
@@ -57,11 +59,12 @@ def alphas(v: Bits) -> tuple[int, ...]:
     return tuple(i for i, b in enumerate(v) if b)
 
 
-def _weighted_sum(alpha: tuple[int, ...]) -> int:
-    # Horner over ascending positions: sum of 3^(n+1-i) * 2^(alpha_i).
+def _weighted_sum(v: Bits) -> int:
+    # Horner over the ascending one-positions: sum of 3^(n+1-i) * 2^(alpha_i).
     s = 0
-    for a in alpha:
-        s = s * 3 + (1 << a)
+    for a, b in enumerate(v):
+        if b:
+            s = s * 3 + (1 << a)
     return s
 
 
@@ -80,23 +83,26 @@ def stopping_term(v: Bits, x: int) -> int:
     if parity_vector_of(x, n) != v:
         raise ValueError(f"trajectory prefix of {x} does not match the vector")
     sig, mod, p3, _ = _level_constants(n)
-    q, rem = divmod(p3 * x + _weighted_sum(alphas(v)), mod)
-    assert rem == 0  # guaranteed once the parity prefix matches
+    q, rem = divmod(p3 * x + _weighted_sum(v), mod)
+    if rem:
+        raise RuntimeError(f"{x} matches the prefix {v} but does not solve it")
     return q
 
 
 def solve_vector(v: Bits) -> Solution:
     """The unique odd x in (0, 2^sigma_n) solving the vector's divisibility,
-    with its image y and the simulated membership flag."""
+    with its image y.  One simulated walk T^0(x) .. T^sigma_n(x) must show
+    the parities v (forced by the congruence), and x is a member when the
+    walk first drops below x at step sigma_n."""
     n = _level(v)
     sig, mod, p3, inv = _level_constants(n)
-    s = _weighted_sum(alphas(v))
+    s = _weighted_sum(v)
     x = (-s * inv) % mod
-    assert x & 1  # S is odd because position 0 is a one
     y, rem = divmod(p3 * x + s, mod)
-    assert rem == 0
-    assert parity_vector_of(x, n) == v  # the congruence forces the prefix
-    member = stopping_time(x, sig + 1) == sig
+    walk = trajectory(x, sig)
+    if rem or tuple([t & 1 for t in walk[: len(v)]]) != v:
+        raise RuntimeError(f"solution {x} does not reproduce the vector {v}")
+    member = walk[sig] < x <= min(walk[1:sig])
     return Solution(x=x, y=y, vector=v, member=member)
 
 
@@ -117,20 +123,21 @@ def lambda_step(x_prev: int, n: int) -> tuple[int, int]:
     x_prev + lam * 2^kappa(n) solve the right-extended vector, reducing by
     2^sigma_n on overflow.  Returns (x, lam) for the smallest working lam;
     when sigma_n(n) = kappa(n) + 2 the multipliers lam and lam + 4 name the
-    same residue.  Agreement with solve_vector is asserted.
+    same residue.  Agreement with solve_vector is checked.
     """
     if n < 2:
         raise ValueError(f"level must be >= 2, got {n}")
     child = parity_vector_of(x_prev, n - 1) + ((1,) if d(n) == 1 else (0, 1))
+    solved = solve_vector(child).x  # also validates the child
     _, mod, p3, _ = _level_constants(n)
-    s = _weighted_sum(alphas(child))
+    s = _weighted_sum(child)
     step = 1 << kappa(n)
     for lam in (1, 3, 5, 7):
         cand = x_prev + lam * step
         if (p3 * cand + s) % mod == 0:
-            x = cand % mod
-            assert x == solve_vector(child).x  # both routes must agree
-            return x, lam
+            if cand % mod != solved:
+                raise RuntimeError(f"scan gives {cand % mod}, solver gives {solved}")
+            return solved, lam
     raise RuntimeError(
         f"no odd multiplier solves the step-1 child of {x_prev} at level {n}"
     )
@@ -227,8 +234,8 @@ def check_corollary4(entries: list["VSetEntry"], solutions: list[Solution]) -> b
     n = entries[0].n
     if n < 2:
         raise ValueError(f"level must be >= 2, got {n}")
-    last = entries[-1]
-    assert last.h == n + 1 and last.p == 1
+    if (entries[-1].h, entries[-1].p) != (n + 1, 1):
+        raise ValueError(f"the last entry must be level {n}'s all-leading-ones vector")
     idx = max(i for i, e in enumerate(entries) if e.h == n)
     cand = 2 * solutions[idx].x + 1
     mod = 1 << sigma_n(n)

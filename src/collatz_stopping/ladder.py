@@ -7,6 +7,7 @@ and floor(n * log2(3)) computed in doubles starts to drift.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -49,25 +50,22 @@ def d(n: int) -> int:
     if n < 1:
         raise ValueError(f"level must be >= 1, got {n}")
     gap = kappa(n) - kappa(n - 1)
-    assert gap in (1, 2)
+    if gap not in (1, 2):
+        raise RuntimeError(f"kappa gap at level {n} is {gap}, not 1 or 2")
     return gap
 
 
 @lru_cache(maxsize=None)
 def min_surviving_n(k: int) -> int:
-    """Smallest n with 2^k < 3^n, i.e. 1 + max{m : 3^m < 2^k}.
+    """Smallest n with 2^k < 3^n, i.e. with kappa(n) >= k.
 
     This is the leftmost populated column of row k of the count triangle:
-    a residue (mod 2^k) with fewer odd steps has already stopped.
+    a residue (mod 2^k) with fewer odd steps has already stopped.  kappa is
+    increasing and kappa(k) >= k, so a bisection over 1..k finds it.
     """
     if k < 1:
         raise ValueError(f"bit depth must be >= 1, got {k}")
-    m, p = 0, 1
-    lim = 1 << k
-    while 3 * p < lim:
-        p *= 3
-        m += 1
-    return m + 1
+    return bisect_left(range(1, k + 1), k, key=kappa) + 1
 
 
 def ladder_rows(max_n: int) -> list[LadderRow]:

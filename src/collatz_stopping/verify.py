@@ -11,7 +11,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from .diophantine import solve_vector
-from .ladder import sigma_n
+from .ladder import kappa, sigma_n
 from .ptree import generate_vset, vset_levels
 from .triangle import build_triangle, w
 
@@ -56,10 +56,10 @@ def sieve(k: int, *, max_depth: int = SIEVE_MAX_DEPTH) -> list[SurvivalRecord]:
     pow3 = [1]
     for _ in range(k + 1):
         pow3.append(pow3[-1] * 3)
-    records = [SurvivalRecord(r=3, k=2, q=8, n=2, surviving=4 < pow3[2])]
+    kap = [kappa(n) for n in range(k + 2)]
+    records = [SurvivalRecord(r=3, k=2, q=8, n=2, surviving=2 <= kap[2])]
     for depth in range(3, k + 1):
         half = 1 << (depth - 1)
-        lim = 1 << depth
         step = []
         for rec in records:
             if not rec.surviving:
@@ -70,7 +70,7 @@ def sieve(k: int, *, max_depth: int = SIEVE_MAX_DEPTH) -> list[SurvivalRecord]:
                     q2, n2 = (3 * q_pre + 1) // 2, rec.n + 1
                 else:
                     q2, n2 = q_pre // 2, rec.n
-                step.append(SurvivalRecord(r2, depth, q2, n2, lim < pow3[n2]))
+                step.append(SurvivalRecord(r2, depth, q2, n2, depth <= kap[n2]))
         records = sorted(step, key=lambda rec: rec.r)
     return records
 

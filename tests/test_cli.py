@@ -132,6 +132,13 @@ def test_oeis_unknown_sequence(run_cli):
     assert code == 2 and "unknown sequence" in err
 
 
+def test_oeis_terms_rejects_unknown_sequence_itself():
+    from collatz_stopping.cli import UsageError, _oeis_terms
+
+    with pytest.raises(UsageError, match="unknown sequence"):
+        _oeis_terms("A999999", 1)
+
+
 def test_oeis_refuses_infeasible_terms(run_cli):
     code, _, err = run_cli("oeis", "A177789", "--terms", "10000000")
     assert code == 2 and "bounded" in err

@@ -1,5 +1,8 @@
+import dataclasses
+
 import pytest
 
+from collatz_stopping import diophantine
 from collatz_stopping.core import parity_vector_of, stopping_time, trajectory
 from collatz_stopping.diophantine import (
     alphas,
@@ -63,6 +66,14 @@ def test_stopping_term_rejects_parity_mismatch():
         stopping_term((1, 1, 0, 1, 1), 7)
 
 
+def test_stopping_term_that_does_not_divide_raises(monkeypatch):
+    v = (1, 1, 0, 1, 1)
+    # 7 passes the forged prefix check but 81 * 7 + S is not a multiple of 2^7
+    monkeypatch.setattr(diophantine, "parity_vector_of", lambda x, n: v)
+    with pytest.raises(RuntimeError, match="does not solve"):
+        stopping_term(v, 7)
+
+
 def test_solve_vector_examples():
     sol = solve_vector((1, 1, 0, 1, 1))
     assert (sol.x, sol.y, sol.member) == (59, 38, True)
@@ -87,15 +98,26 @@ def test_solution_uniqueness_against_brute_force():
 
 
 def test_member_round_trip():
-    for n in range(1, 9):
+    for n in range(1, 11):
         sig = sigma_n(n)
         for v in lex_tuples(n):
             sol = solve_vector(v)
             assert parity_vector_of(sol.x, n) == v
+            assert sol.member == (stopping_time(sol.x, sig + 1) == sig)
             if sol.member:
-                assert stopping_time(sol.x, sig + 1) == sig
                 assert stopping_term(v, sol.x) == sol.y
                 assert sol.y < sol.x
+
+
+def test_solution_walk_that_misses_the_vector_raises(monkeypatch):
+    def flipped(x, steps):
+        walk = trajectory(x, steps)
+        walk[2] ^= 1
+        return walk
+
+    monkeypatch.setattr(diophantine, "trajectory", flipped)
+    with pytest.raises(RuntimeError, match="does not reproduce"):
+        solve_vector((1, 1, 0, 1, 1))
 
 
 def test_check_corollary1_examples():
@@ -108,6 +130,16 @@ def test_lambda_step_examples():
     assert lambda_step(3, 2) == (11, 1)
     assert lambda_step(11, 3) == (59, 3)
     assert lambda_step(95, 5) == (735, 5)
+
+
+def test_lambda_step_disagreeing_with_solver_raises(monkeypatch):
+    def off_by_two(v):
+        sol = solve_vector(v)
+        return dataclasses.replace(sol, x=sol.x + 2)
+
+    monkeypatch.setattr(diophantine, "solve_vector", off_by_two)
+    with pytest.raises(RuntimeError, match="solver gives"):
+        lambda_step(3, 2)
 
 
 def test_lambda_step_agrees_with_solver_everywhere():
@@ -213,3 +245,10 @@ def test_check_corollary4_examples():
         assert solutions[idx].x == expected_pair[0]
         assert solutions[-1].x == expected_pair[1]
         assert check_corollary4(entries, solutions)
+
+
+def test_check_corollary4_rejects_level_without_closing_entry():
+    entries = vset_levels(4)[4][:-1]
+    solutions = [solve_vector(e.vector) for e in entries]
+    with pytest.raises(ValueError, match="all-leading-ones"):
+        check_corollary4(entries, solutions)

@@ -65,9 +65,17 @@ def test_min_surviving_n_matches_float_formula_small():
 
 
 def test_min_surviving_n_is_tight():
-    for k in range(1, 200):
+    for k in range(1, 2001):
         n = min_surviving_n(k)
         assert 3 ** (n - 1) < 2**k < 3**n
+
+
+def test_d_outside_one_or_two_raises(monkeypatch):
+    from collatz_stopping import ladder
+
+    monkeypatch.setattr(ladder, "kappa", lambda n: 3 * n)
+    with pytest.raises(RuntimeError, match="not 1 or 2"):
+        d(5)
 
 
 def test_ladder_rows_shape():

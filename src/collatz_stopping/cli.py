@@ -1,7 +1,8 @@
 """Command-line entry point exposing every subsystem.
 
 Exit codes: 0 on success, 1 when a verification finds mismatches, 2 on usage
-errors (bad flags, malformed vectors, unknown or infeasible sequences).
+errors (bad flags, malformed vectors, unknown or infeasible sequences, and any
+parameter the library refuses with a ValueError).
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ from .core import Bits, stopping_time
 from .diophantine import solve_vector
 from .ladder import d, kappa, ladder_rows, min_surviving_n, sigma_n
 from .ptree import (
-    TreeSizeError,
     export_tree,
     generate_vset,
     leading_ones,
@@ -58,8 +58,6 @@ def _emit_sequence(values: list[int], fmt: str, offset: int) -> str:
 
 
 def _cmd_sigma(args) -> int:
-    if args.x < 2:
-        raise UsageError(f"stopping time is undefined for x < 2, got {args.x}")
     s = stopping_time(args.x, args.cap)
     if s is None:
         print(f"sigma({args.x}) unknown within {args.cap} steps")
@@ -128,10 +126,7 @@ def _cmd_triangle(args) -> int:
 
 def _cmd_vset(args) -> int:
     if args.format == "dot":
-        try:
-            sys.stdout.write(export_tree(1, args.n, with_solutions=args.with_solutions))
-        except TreeSizeError as exc:
-            raise UsageError(str(exc))
+        sys.stdout.write(export_tree(1, args.n, with_solutions=args.with_solutions))
         return 0
     entries = generate_vset(args.n)
     solutions = (
@@ -168,10 +163,7 @@ def _cmd_tuples(args) -> int:
 
 def _cmd_solve(args) -> int:
     vec = _parse_vector(args.vector)
-    try:
-        sol = solve_vector(vec)
-    except ValueError as exc:
-        raise UsageError(str(exc))
+    sol = solve_vector(vec)
     member = "true" if sol.member else "false"
     print(f"x={sol.x} y={sol.y} member={member} h={leading_ones(vec)}")
     return 0
@@ -179,8 +171,6 @@ def _cmd_solve(args) -> int:
 
 def _cmd_residues(args) -> int:
     n = args.sigma_index
-    if n < 1:
-        raise UsageError(f"level must be >= 1, got {n}")
     xs = level_residues(n)
     sig = sigma_n(n)
     print(f"sigma(x) = {sig}")
@@ -189,10 +179,7 @@ def _cmd_residues(args) -> int:
 
 
 def _cmd_sieve(args) -> int:
-    try:
-        records = sieve(args.k)
-    except ValueError as exc:
-        raise UsageError(str(exc))
+    records = sieve(args.k)
     if args.format == "csv":
         out = io.StringIO()
         writer = csv.writer(out)
@@ -355,7 +342,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except UsageError as exc:
+    except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -22,18 +22,25 @@ class LadderRow:
     sigma: int
 
 
+# The last (n, 3^n) kappa computed; one tuple, so n and its power stay paired.
+_last_power = (0, 1)
+
+
 @lru_cache(maxsize=None)
 def kappa(n: int) -> int:
     """Greatest k with 2^k < 3^n; kappa(0) = 0.
 
-    3^n is never a power of two, so the bit length b of 3^n satisfies
-    2^(b-1) < 3^n < 2^b exactly, giving kappa(n) = b - 1.
+    For n >= 1, 3^n is never a power of two, so the bit length b of 3^n
+    satisfies 2^(b-1) < 3^n < 2^b exactly, giving kappa(n) = b - 1 (and
+    b - 1 = 0 for 3^0 = 1).  Ascending calls reuse the previous power.
     """
+    global _last_power
     if n < 0:
         raise ValueError(f"level must be >= 0, got {n}")
-    if n == 0:
-        return 0
-    return (3**n).bit_length() - 1
+    m, power = _last_power
+    power = power * 3 if m == n - 1 else 3**n
+    _last_power = (n, power)
+    return power.bit_length() - 1
 
 
 def sigma_n(n: int) -> int:

@@ -7,6 +7,7 @@ tree construction so the three can be checked against each other.
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -41,38 +42,36 @@ class SurvivalRecord:
     surviving: bool
 
 
+def _children(parents, half: int, pow3: list[int]):
+    """Each parent (r, q, n) one T-step on: first as r, then as r + half."""
+    for r, q, n in parents:
+        yield (r, (3 * q + 1) >> 1, n + 1) if q & 1 else (r, q >> 1, n)
+    for r, q, n in parents:
+        r, q = r + half, q + pow3[n]
+        yield (r, (3 * q + 1) >> 1, n + 1) if q & 1 else (r, q >> 1, n)
+
+
 def sieve(k: int, *, max_depth: int = SIEVE_MAX_DEPTH) -> list[SurvivalRecord]:
     """Depth-k snapshot of the survival sieve, ascending by residue.
 
     Seeded at 3 (mod 4), the only non-trivial depth-2 class.  Each deeper
-    level doubles every survivor r into r and r + 2^k; the two children take
-    an even and an odd step from the parent's exact image, so each level
-    advances one T-step without recomputing trajectories.
+    level doubles every survivor r into r, which keeps the parent's exact
+    image, and r + 2^(depth-1), which shifts it by 3^n; one T-step follows.
+    Both halves are ascending and need no sort, because the parents are.
+    Each level is consumed by the next one's survivor filter, so only
+    survivors are kept, and records are built for depth k only.
     """
     if k < 2:
         raise ValueError(f"bit depth must be >= 2, got {k}")
     if k > max_depth:
         raise SieveBoundError(k, max_depth, w(build_triangle(k), k))
-    pow3 = [1]
-    for _ in range(k + 1):
-        pow3.append(pow3[-1] * 3)
-    kap = [kappa(n) for n in range(k + 2)]
-    records = [SurvivalRecord(r=3, k=2, q=8, n=2, surviving=2 <= kap[2])]
+    pow3 = [3**n for n in range(k + 1)]
+    kap = [kappa(n) for n in range(k + 1)]
+    level = [(3, 8, 2)]
     for depth in range(3, k + 1):
-        half = 1 << (depth - 1)
-        step = []
-        for rec in records:
-            if not rec.surviving:
-                continue
-            # r keeps the parent's image; r + 2^(depth-1) shifts it by 3^n.
-            for r2, q_pre in ((rec.r, rec.q), (rec.r + half, rec.q + pow3[rec.n])):
-                if q_pre & 1:
-                    q2, n2 = (3 * q_pre + 1) // 2, rec.n + 1
-                else:
-                    q2, n2 = q_pre // 2, rec.n
-                step.append(SurvivalRecord(r2, depth, q2, n2, depth <= kap[n2]))
-        records = sorted(step, key=lambda rec: rec.r)
-    return records
+        parents = [t for t in level if depth - 1 <= kap[t[2]]]
+        level = _children(parents, 1 << (depth - 1), pow3)
+    return [SurvivalRecord(r, k, q, n, k <= kap[n]) for r, q, n in level]
 
 
 @dataclass(frozen=True)
@@ -212,8 +211,9 @@ def verify_range(
 
     Simulation runs with budget sigma_n(n_max) + 1; x that do not stop within
     the table horizon are counted as beyond_table, not as mismatches (they
-    must then lie in no class at all).  Blocks are merged in ascending order,
-    so the report is identical for every jobs setting.
+    must then lie in no class at all).  At most min(jobs, blocks, CPUs)
+    worker processes run; blocks are merged in ascending order, so the
+    report is identical for every jobs setting.
     """
     if x_lo < 2:
         raise ValueError(f"x_lo must be >= 2, got {x_lo}")
@@ -230,11 +230,13 @@ def verify_range(
     blocks = [
         (lo, min(lo + block_size, x_hi)) for lo in range(x_lo, x_hi, block_size)
     ]
-    if jobs == 1 or len(blocks) <= 1:
+    # the pool starts all max_workers processes at the first submit
+    workers = min(jobs, len(blocks), os.cpu_count() or 1)
+    if workers <= 1:
         results = [_scan_block(lo, hi, classes, budget) for lo, hi in blocks]
     else:
         with ProcessPoolExecutor(
-            max_workers=jobs, initializer=_init_worker, initargs=(classes, budget)
+            max_workers=workers, initializer=_init_worker, initargs=(classes, budget)
         ) as pool:
             results = list(pool.map(_worker, blocks))
     counts: dict[int, int] = {}

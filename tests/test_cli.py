@@ -195,6 +195,23 @@ def test_usage_error_exit_code():
     assert proc.stderr
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify", "--max-bits", "4", "--n-max", "3", "--jobs", "0"),
+        ("verify", "--max-bits", "0", "--n-max", "3"),
+        ("vset", "0"),
+        ("tuples", "0"),
+        ("ladder", "--max-n", "0"),
+        ("triangle", "--max-n", "1"),
+        ("sigma", "5", "--cap", "0"),
+    ],
+)
+def test_parameter_refused_by_the_library_exits_2(run_cli, argv):
+    code, out, err = run_cli(*argv)
+    assert code == 2 and out == "" and err.startswith("error: ")
+
+
 def test_output_is_byte_identical_across_runs_and_jobs():
     def run(jobs):
         return subprocess.run(

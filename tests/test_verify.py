@@ -1,7 +1,7 @@
 import pytest
 
-from collatz_stopping.core import stopping_time
-from collatz_stopping.ladder import sigma_n
+from collatz_stopping.core import forward_map, stopping_time
+from collatz_stopping.ladder import kappa, sigma_n
 from collatz_stopping.triangle import build_triangle, w
 from collatz_stopping.verify import (
     SieveBoundError,
@@ -50,6 +50,19 @@ def test_all_ones_residue_always_survives():
     for k in [*range(2, 17), 20, 24]:
         rec = next(r for r in sieve(k) if r.r == (1 << k) - 1)
         assert rec.surviving and rec.n == k
+
+
+def test_sieve_records_match_forward_map():
+    # every record, cut ones included and in order, from simulating each
+    # residue: kept while every shallower prefix survived
+    for k in range(2, 15):
+        expected = []
+        for r in range(3, 1 << k, 4):
+            if all(j <= kappa(forward_map(r % (1 << j), j)[1]) for j in range(2, k)):
+                q, n = forward_map(r, k)
+                expected.append((r, k, q, n, k <= kappa(n)))
+        records = [(rec.r, rec.k, rec.q, rec.n, rec.surviving) for rec in sieve(k)]
+        assert records == expected
 
 
 def test_sieve_bound_refusal_names_survivor_count():
@@ -166,3 +179,38 @@ def test_level_residues_refuses_a_non_member(monkeypatch):
         level_residues(3)
     with pytest.raises(RuntimeError, match="not a member"):
         residue_table(3)
+
+
+@pytest.mark.parametrize(
+    "jobs, cpus, workers",
+    [(5000, 3, 3), (5000, 64, 10), (2, 64, 2), (5000, 1, None), (5000, None, None)],
+)
+def test_verify_range_workers_clamped_to_cpus_and_blocks(monkeypatch, jobs, cpus, workers):
+    from collatz_stopping import verify
+
+    requested = []
+
+    class InProcessPool:
+        """Records max_workers and runs every block here; starts no process."""
+
+        def __init__(self, max_workers, initializer, initargs):
+            requested.append(max_workers)
+            initializer(*initargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(verify, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(verify, "_WORKER_CLASSES", [])
+    monkeypatch.setattr(verify, "_WORKER_BUDGET", 0)
+    monkeypatch.setattr(verify.os, "cpu_count", lambda: cpus)
+    # ten blocks of 2^10 integers
+    report = verify_range(2, 2 + 10 * 1024, 6, jobs=jobs, block_size=1024)
+    assert requested == ([] if workers is None else [workers])
+    assert report == verify_range(2, 2 + 10 * 1024, 6, block_size=1024)

@@ -168,6 +168,36 @@ def test_verify_range_rejects_non_positive_block_size(block_size):
         verify_range(2, 1000, 5, block_size=block_size)
 
 
+def _forge_level(monkeypatch, n, edit):
+    """Route level n's solved residues through edit, in every class list."""
+    from collatz_stopping import verify
+
+    solved = verify._solved_residues
+
+    def forged(level, entries):
+        residues = solved(level, entries)
+        return tuple(sorted(edit(set(residues)))) if level == n else residues
+
+    monkeypatch.setattr(verify, "_solved_residues", forged)
+
+
+def test_verify_range_reports_a_dropped_class(monkeypatch):
+    # without 23 (mod 32), each x = 23 (mod 32) stops at 5 in no class
+    _forge_level(monkeypatch, 2, lambda rs: rs - {23})
+    report = verify_range(2, 200, 4)
+    assert report.mismatches == tuple((x, None, 5) for x in range(23, 200, 32))
+    assert not report.ok
+
+
+def test_verify_range_reports_a_forged_class(monkeypatch):
+    # 7 (mod 32) lies in no other class, and its integers do not stop at 5
+    _forge_level(monkeypatch, 2, lambda rs: rs | {7})
+    report = verify_range(2, 300, 2)
+    assert report.mismatches == tuple(
+        (x, 5, stopping_time(x, sigma_n(2) + 1)) for x in range(7, 300, 32)
+    )
+
+
 def test_level_residues_refuses_a_non_member(monkeypatch):
     from collatz_stopping import verify
     from collatz_stopping.diophantine import Solution

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import sys
 
 from .core import Bits, stopping_time
@@ -69,12 +68,10 @@ def _cmd_sigma(args) -> int:
 def _cmd_ladder(args) -> int:
     rows = ladder_rows(args.max_n)
     if args.format == "csv":
-        out = io.StringIO()
-        writer = csv.writer(out)
+        writer = csv.writer(sys.stdout)
         writer.writerow(["n", "d", "kappa", "sigma"])
         for row in rows:
             writer.writerow([row.n, row.d, row.kappa, row.sigma])
-        sys.stdout.write(out.getvalue())
     else:
         print(f"{'n':>6} {'d':>3} {'kappa':>8} {'sigma':>8}")
         for row in rows:
@@ -94,12 +91,10 @@ def _cmd_triangle(args) -> int:
         sys.stdout.write(_emit_sequence(values, "bfile", offset))
         return 0
     if args.format == "csv":
-        out = io.StringIO()
-        writer = csv.writer(out)
+        writer = csv.writer(sys.stdout)
         writer.writerow(["k", "n", "count"])
         for (k, n), v in sorted(table.cells.items()):
             writer.writerow([k, n, v])
-        sys.stdout.write(out.getvalue())
         return 0
     # aligned grid with the d header row, w column and z row
     ns = list(range(1, args.max_n + 1))
@@ -133,15 +128,13 @@ def _cmd_vset(args) -> int:
         [solve_vector(e.vector) for e in entries] if args.with_solutions else None
     )
     if args.format == "csv":
-        out = io.StringIO()
-        writer = csv.writer(out)
+        writer = csv.writer(sys.stdout)
         writer.writerow(["bits", "h", "p"] + (["x", "y"] if solutions else []))
         for i, e in enumerate(entries):
             row = ["".join(map(str, e.vector)), e.h, e.p]
             if solutions:
                 row += [solutions[i].x, solutions[i].y]
             writer.writerow(row)
-        sys.stdout.write(out.getvalue())
         return 0
     for i, e in enumerate(entries):
         line = f"{_bits_str(e.vector)} {e.h} {e.p}"
@@ -169,8 +162,18 @@ def _cmd_solve(args) -> int:
     return 0
 
 
+def _check_level(n: int) -> None:
+    """Refuse a residue level above MAX_RESIDUE_LEVEL before building any."""
+    if n > MAX_RESIDUE_LEVEL:
+        raise UsageError(
+            f"residue levels are bounded at n <= {MAX_RESIDUE_LEVEL} "
+            f"({tree_node_count(1, MAX_RESIDUE_LEVEL)} classes); requested {n}"
+        )
+
+
 def _cmd_residues(args) -> int:
     n = args.sigma_index
+    _check_level(n)
     xs = level_residues(n)
     sig = sigma_n(n)
     print(f"sigma(x) = {sig}")
@@ -181,12 +184,10 @@ def _cmd_residues(args) -> int:
 def _cmd_sieve(args) -> int:
     records = sieve(args.k)
     if args.format == "csv":
-        out = io.StringIO()
-        writer = csv.writer(out)
+        writer = csv.writer(sys.stdout)
         writer.writerow(["r", "k", "q", "n", "surviving"])
         for rec in records:
             writer.writerow([rec.r, rec.k, rec.q, rec.n, rec.surviving])
-        sys.stdout.write(out.getvalue())
         return 0
     survivors = [rec for rec in records if rec.surviving]
     for i, rec in enumerate(survivors, start=1):
@@ -196,6 +197,7 @@ def _cmd_sieve(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    _check_level(args.n_max)
     report = verify_range(2, 1 << args.max_bits, args.n_max, jobs=args.jobs)
     print(f"range [2, 2^{args.max_bits}), n_max={args.n_max}")
     for sig in sorted(report.counts):

@@ -141,22 +141,31 @@ class VerificationReport:
 Classes = list[tuple[int, int, frozenset]]
 
 _WORKER_CLASSES: Classes = []
-_WORKER_BUDGET = 0
+
+BLOCK_SIZE = 1 << 16
 
 
 def _prediction_classes(n_max: int) -> Classes:
-    classes = []
-    for n in range(1, n_max + 1):
-        sig = sigma_n(n)
-        classes.append((sig, (1 << sig) - 1, frozenset(level_residues(n))))
+    """(sigma, 2^sigma - 1, residues) for each block of residue_table(n_max),
+    ascending by sigma, checked pairwise disjoint: x lies in at most one."""
+    classes = [
+        (b.sigma, b.modulus - 1, frozenset(b.residues)) for b in residue_table(n_max)
+    ]
+    for i, (sig, _, members) in enumerate(classes):
+        for low_sig, low_mask, low_members in classes[:i]:
+            for r in members:
+                if r & low_mask in low_members:
+                    raise RuntimeError(
+                        f"class {r} (mod 2^{sig}) lies inside class "
+                        f"{r & low_mask} (mod 2^{low_sig})"
+                    )
     return classes
 
 
-def _scan_block(lo: int, hi: int, classes: Classes, budget: int) -> tuple:
-    counts: dict[int, int] = {}
-    beyond = 0
+def _scan_block(lo: int, hi: int, classes: Classes) -> tuple:
+    counts: dict[int | None, int] = {}  # None: beyond the table
     mismatches = []
-    max_sigma = classes[-1][0]
+    budget = classes[-1][0] + 1
     for x in range(lo, hi):
         t = x
         simulated = None
@@ -165,55 +174,41 @@ def _scan_block(lo: int, hi: int, classes: Classes, budget: int) -> tuple:
             if t < x:
                 simulated = s
                 break
-        if x % 2 == 0:
-            predicted = 1
-        elif x % 4 == 1:
-            predicted = 2
+        # the classes are disjoint, so the first one holding x is its only one
+        for predicted, mask, members in classes:
+            if x & mask in members:
+                break
         else:
-            # every non-trivial class consists of residues = 3 (mod 4)
-            hits = {sig for sig, mask, members in classes if (x & mask) in members}
-            predicted = min(hits) if hits else None
-            if simulated is not None and simulated <= max_sigma:
-                if hits != {simulated}:
-                    mismatches.append((x, predicted, simulated))
-                counts[simulated] = counts.get(simulated, 0) + 1
-            else:
-                if hits:
-                    mismatches.append((x, predicted, simulated))
-                beyond += 1
-            continue
-        if simulated != predicted:
+            predicted = None
+        # a stop one step past the table is beyond it, like no stop at all
+        observed = None if simulated == budget else simulated
+        if predicted != observed:
             mismatches.append((x, predicted, simulated))
-        counts[predicted] = counts.get(predicted, 0) + 1
-    return counts, beyond, mismatches
+        counts[observed] = counts.get(observed, 0) + 1
+    return counts, mismatches
 
 
-def _init_worker(classes: Classes, budget: int) -> None:
-    global _WORKER_CLASSES, _WORKER_BUDGET
+def _init_worker(classes: Classes) -> None:
+    global _WORKER_CLASSES
     _WORKER_CLASSES = classes
-    _WORKER_BUDGET = budget
 
 
 def _worker(block: tuple[int, int]) -> tuple:
-    return _scan_block(block[0], block[1], _WORKER_CLASSES, _WORKER_BUDGET)
+    return _scan_block(block[0], block[1], _WORKER_CLASSES)
 
 
 def verify_range(
-    x_lo: int,
-    x_hi: int,
-    n_max: int,
-    *,
-    jobs: int = 1,
-    block_size: int = 1 << 16,
+    x_lo: int, x_hi: int, n_max: int, *, jobs: int = 1
 ) -> VerificationReport:
     """Check every x in [x_lo, x_hi): its simulated stopping time must place
-    it in exactly the predicted residue class.
+    it in exactly the predicted class of residue_table(n_max).
 
     Simulation runs with budget sigma_n(n_max) + 1; x that do not stop within
     the table horizon are counted as beyond_table, not as mismatches (they
-    must then lie in no class at all).  At most min(jobs, blocks, CPUs)
-    worker processes run; blocks are merged in ascending order, so the
-    report is identical for every jobs setting.
+    must then lie in no class at all).  The range is cut into blocks of
+    BLOCK_SIZE integers; at most min(jobs, blocks, CPUs) worker processes
+    run, and blocks are merged in ascending order, so the report is
+    identical for every jobs setting.
     """
     if x_lo < 2:
         raise ValueError(f"x_lo must be >= 2, got {x_lo}")
@@ -223,30 +218,24 @@ def verify_range(
         raise ValueError(f"n_max must be >= 1, got {n_max}")
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
-    if block_size < 1:
-        raise ValueError(f"block_size must be >= 1, got {block_size}")
     classes = _prediction_classes(n_max)
-    budget = sigma_n(n_max) + 1
-    blocks = [
-        (lo, min(lo + block_size, x_hi)) for lo in range(x_lo, x_hi, block_size)
-    ]
+    blocks = [(lo, min(lo + BLOCK_SIZE, x_hi)) for lo in range(x_lo, x_hi, BLOCK_SIZE)]
     # the pool starts all max_workers processes at the first submit
     workers = min(jobs, len(blocks), os.cpu_count() or 1)
     if workers <= 1:
-        results = [_scan_block(lo, hi, classes, budget) for lo, hi in blocks]
+        results = [_scan_block(lo, hi, classes) for lo, hi in blocks]
     else:
         with ProcessPoolExecutor(
-            max_workers=workers, initializer=_init_worker, initargs=(classes, budget)
+            max_workers=workers, initializer=_init_worker, initargs=(classes,)
         ) as pool:
             results = list(pool.map(_worker, blocks))
-    counts: dict[int, int] = {}
-    beyond = 0
+    counts: dict[int | None, int] = {}
     mismatches: list[tuple[int, int | None, int | None]] = []
-    for block_counts, block_beyond, block_mism in results:
+    for block_counts, block_mism in results:
         for sig, c in block_counts.items():
             counts[sig] = counts.get(sig, 0) + c
-        beyond += block_beyond
         mismatches.extend(block_mism)
+    beyond = counts.pop(None, 0)
     return VerificationReport(
         x_lo=x_lo,
         x_hi=x_hi,

@@ -252,6 +252,22 @@ def test_oeis_refusal_builds_no_level(run_cli):
     assert cache.cache_info().currsize == 0
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify", "--max-bits", "16", "--n-max", "20"),
+        ("residues", "--sigma-index", "15"),
+    ],
+)
+def test_level_above_the_bound_is_refused_before_building(run_cli, argv):
+    cache = _cleared_level_cache()
+    code, out, err = run_cli(*argv)
+    assert code == 2 and out == "" and err.startswith("error: ")
+    assert f"bounded at n <= 14 (81117 classes); requested {argv[-1]}" in err
+    info = cache.cache_info()
+    assert info.hits == info.misses == 0
+
+
 def test_oeis_residues_stop_at_the_completing_level(run_cli):
     # 313 = z(1) + ... + z(8): levels 9..14 are never built
     cache = _cleared_level_cache()

@@ -1,8 +1,10 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from collatz_stopping.core import forward_map, stopping_time
 from collatz_stopping.ladder import kappa, sigma_n
-from collatz_stopping.triangle import build_triangle, w
+from collatz_stopping.triangle import build_triangle, w, z_from_triangle
 from collatz_stopping.verify import (
     SieveBoundError,
     level_residues,
@@ -133,9 +135,12 @@ def test_verify_range_beyond_table_is_not_a_mismatch():
     assert stopping_time(27, sigma_n(9) + 1) is None
 
 
-def test_verify_range_parallel_report_identical():
-    serial = verify_range(2, 40_000, 6, jobs=1, block_size=1 << 12)
-    parallel = verify_range(2, 40_000, 6, jobs=2, block_size=1 << 12)
+def test_verify_range_parallel_report_identical(monkeypatch):
+    from collatz_stopping import verify
+
+    monkeypatch.setattr(verify, "BLOCK_SIZE", 1 << 12)
+    serial = verify_range(2, 40_000, 6, jobs=1)
+    parallel = verify_range(2, 40_000, 6, jobs=2)
     assert serial == parallel
 
 
@@ -160,12 +165,6 @@ def test_verify_range_preconditions():
         verify_range(10, 5, 4)
     with pytest.raises(ValueError):
         verify_range(2, 10, 0)
-
-
-@pytest.mark.parametrize("block_size", [0, -1])
-def test_verify_range_rejects_non_positive_block_size(block_size):
-    with pytest.raises(ValueError, match="block_size"):
-        verify_range(2, 1000, 5, block_size=block_size)
 
 
 def _forge_level(monkeypatch, n, edit):
@@ -196,6 +195,28 @@ def test_verify_range_reports_a_forged_class(monkeypatch):
     assert report.mismatches == tuple(
         (x, 5, stopping_time(x, sigma_n(2) + 1)) for x in range(7, 300, 32)
     )
+
+
+def test_verify_range_refuses_overlapping_classes(monkeypatch):
+    # 3 (mod 32) lies inside level 1's class 3 (mod 16)
+    _forge_level(monkeypatch, 2, lambda rs: rs | {3})
+    with pytest.raises(RuntimeError, match=r"class 3 \(mod 2\^5\) lies inside class 3"):
+        verify_range(2, 200, 4)
+
+
+@settings(max_examples=40, deadline=None)
+@given(n_max=st.integers(1, 7), m=st.integers(1, 1 << 40))
+def test_aligned_window_holds_every_class_its_share(n_max, m):
+    # [m 2^S, (m + 1) 2^S) holds 2^(S - sigma) integers of each class mod 2^sigma
+    span = sigma_n(n_max)
+    report = verify_range(m << span, (m + 1) << span, n_max)
+    table = build_triangle(max(n_max, 2))
+    z = {n: z_from_triangle(table, n) if n > 1 else 1 for n in range(1, n_max + 1)}
+    expected = {1: 1 << (span - 1), 2: 1 << (span - 2)}
+    expected.update({sigma_n(n): z[n] << (span - sigma_n(n)) for n in z})
+    assert report.ok
+    assert report.counts == expected
+    assert report.beyond_table == (1 << span) - sum(expected.values())
 
 
 def test_level_residues_refuses_a_non_member(monkeypatch):
@@ -238,9 +259,9 @@ def test_verify_range_workers_clamped_to_cpus_and_blocks(monkeypatch, jobs, cpus
 
     monkeypatch.setattr(verify, "ProcessPoolExecutor", InProcessPool)
     monkeypatch.setattr(verify, "_WORKER_CLASSES", [])
-    monkeypatch.setattr(verify, "_WORKER_BUDGET", 0)
     monkeypatch.setattr(verify.os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(verify, "BLOCK_SIZE", 1024)
     # ten blocks of 2^10 integers
-    report = verify_range(2, 2 + 10 * 1024, 6, jobs=jobs, block_size=1024)
+    report = verify_range(2, 2 + 10 * 1024, 6, jobs=jobs)
     assert requested == ([] if workers is None else [workers])
-    assert report == verify_range(2, 2 + 10 * 1024, 6, block_size=1024)
+    assert report == verify_range(2, 2 + 10 * 1024, 6)

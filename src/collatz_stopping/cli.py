@@ -1,8 +1,8 @@
 """Command-line entry point exposing every subsystem.
 
 Exit codes: 0 on success, 1 when a verification finds mismatches, 2 on usage
-errors (bad flags, malformed vectors, unknown or infeasible sequences, and any
-parameter the library refuses with a ValueError).
+errors (bad flags, malformed vectors, unknown sequences, requests above a
+named size bound, and any parameter the library refuses with a ValueError).
 """
 
 from __future__ import annotations
@@ -10,6 +10,8 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
+from itertools import chain, islice
+from typing import Callable, NamedTuple
 
 from .core import Bits, stopping_time
 from .diophantine import solve_vector
@@ -25,15 +27,27 @@ from .ptree import (
 from .triangle import build_triangle, w, z_from_triangle
 from .verify import level_residues, sieve, verify_range
 
-# Feasibility bounds for sequence emission; anything past them is refused.
+# Size bounds; _refuse_above turns any request past one into exit code 2.
 MAX_LADDER_TERMS = 100_000
 MAX_TRIANGLE_TERMS = 1_000
 MAX_TUPLE_TERMS = 10_000
 MAX_RESIDUE_LEVEL = 14
+MAX_VERIFY_BITS = 32
 
 
 class UsageError(Exception):
     pass
+
+
+def _refuse_above(what: str, request: int, bound: int, limit: Callable[[], str]) -> None:
+    """The one size refusal: "<what> bounded at <limit()>; requested <request>".
+    limit() may count classes or tuples, so it runs only when refusing."""
+    if request > bound:
+        raise UsageError(f"{what} bounded at {limit()}; requested {request}")
+
+
+def _level_limit() -> str:
+    return f"n <= {MAX_RESIDUE_LEVEL} ({tree_node_count(1, MAX_RESIDUE_LEVEL)} classes)"
 
 
 def _parse_vector(text: str) -> Bits:
@@ -48,12 +62,6 @@ def _parse_vector(text: str) -> Bits:
 
 def _bits_str(bits: Bits) -> str:
     return ",".join(map(str, bits))
-
-
-def _emit_sequence(values: list[int], fmt: str, offset: int) -> str:
-    if fmt == "bfile":
-        return "".join(f"{i} {v}\n" for i, v in enumerate(values, start=offset))
-    return " ".join(map(str, values)) + "\n"
 
 
 def _cmd_sigma(args) -> int:
@@ -81,15 +89,6 @@ def _cmd_ladder(args) -> int:
 
 def _cmd_triangle(args) -> int:
     table = build_triangle(args.max_n)
-    if args.format == "bfile":
-        if args.sequence == "A100982":
-            values = [1] + [z_from_triangle(table, n) for n in range(2, args.max_n + 1)]
-            offset = 1 if args.offset is None else args.offset
-        else:  # A076227, rows k = 2..max_n
-            values = [w(table, k) for k in range(2, args.max_n + 1)]
-            offset = 2 if args.offset is None else args.offset
-        sys.stdout.write(_emit_sequence(values, "bfile", offset))
-        return 0
     if args.format == "csv":
         writer = csv.writer(sys.stdout)
         writer.writerow(["k", "n", "count"])
@@ -97,29 +96,24 @@ def _cmd_triangle(args) -> int:
             writer.writerow([k, n, v])
         return 0
     # aligned grid with the d header row, w column and z row
-    ns = list(range(1, args.max_n + 1))
-    width = max(len(str(v)) for v in table.cells.values())
-    width = max(width, len(str(max(w(table, k) for k in range(2, args.max_n + 1)))))
+    ns = range(1, args.max_n + 1)
+    # rows above max_n would be incomplete (they continue into columns n > max_n)
+    ws = {k: w(table, k) for k in range(2, args.max_n + 1)}
+    width = len(str(max([*table.cells.values(), *ws.values()])))
     cell = lambda v: f"{v:>{width}}"
     blank = " " * width
     print("d(n)  : " + " ".join(cell(d(n)) for n in ns))
     print("n     : " + " ".join(cell(n) for n in ns))
-    # rows above max_n would be incomplete (they continue into columns n > max_n)
-    for k in range(2, args.max_n + 1):
-        row = [
-            cell(table.cells[(k, n)]) if (k, n) in table.cells else blank for n in ns
-        ]
-        print(f"k={k:<4}: " + " ".join(row) + f" | w={cell(w(table, k))}")
-    print(
-        "z(n)  : "
-        + " ".join(
-            cell(z_from_triangle(table, n)) if n >= 2 else blank for n in ns
-        )
-    )
+    for k, wk in ws.items():
+        row = (cell(table.cells[k, n]) if (k, n) in table.cells else blank for n in ns)
+        print(f"k={k:<4}: " + " ".join(row) + f" | w={cell(wk)}")
+    zs = (cell(z_from_triangle(table, n)) if n >= 2 else blank for n in ns)
+    print("z(n)  : " + " ".join(zs))
     return 0
 
 
 def _cmd_vset(args) -> int:
+    _refuse_above("residue levels are", args.n, MAX_RESIDUE_LEVEL, _level_limit)
     if args.format == "dot":
         sys.stdout.write(export_tree(1, args.n, with_solutions=args.with_solutions))
         return 0
@@ -145,6 +139,8 @@ def _cmd_vset(args) -> int:
 
 
 def _cmd_tuples(args) -> int:
+    tuples = lambda: f"n <= {MAX_RESIDUE_LEVEL} ({ln_count(MAX_RESIDUE_LEVEL)} tuples)"
+    _refuse_above("candidate tuples are", args.n, MAX_RESIDUE_LEVEL, tuples)
     sig = sigma_n(args.n)
     for rank, vec in enumerate(lex_tuples(args.n), start=1):
         sol = solve_vector(vec)
@@ -162,18 +158,9 @@ def _cmd_solve(args) -> int:
     return 0
 
 
-def _check_level(n: int) -> None:
-    """Refuse a residue level above MAX_RESIDUE_LEVEL before building any."""
-    if n > MAX_RESIDUE_LEVEL:
-        raise UsageError(
-            f"residue levels are bounded at n <= {MAX_RESIDUE_LEVEL} "
-            f"({tree_node_count(1, MAX_RESIDUE_LEVEL)} classes); requested {n}"
-        )
-
-
 def _cmd_residues(args) -> int:
     n = args.sigma_index
-    _check_level(n)
+    _refuse_above("residue levels are", n, MAX_RESIDUE_LEVEL, _level_limit)
     xs = level_residues(n)
     sig = sigma_n(n)
     print(f"sigma(x) = {sig}")
@@ -197,7 +184,9 @@ def _cmd_sieve(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    _check_level(args.n_max)
+    _refuse_above("residue levels are", args.n_max, MAX_RESIDUE_LEVEL, _level_limit)
+    ints = lambda: f"--max-bits <= {MAX_VERIFY_BITS} ({2**MAX_VERIFY_BITS - 2} integers)"
+    _refuse_above("verify ranges are", args.max_bits, MAX_VERIFY_BITS, ints)
     report = verify_range(2, 1 << args.max_bits, args.n_max, jobs=args.jobs)
     print(f"range [2, 2^{args.max_bits}), n_max={args.n_max}")
     for sig in sorted(report.counts):
@@ -209,62 +198,70 @@ def _cmd_verify(args) -> int:
     return 0 if report.ok else 1
 
 
+class OeisSequence(NamedTuple):
+    bound: Callable[[], int]  # called per request, so no triangle is built at import
+    first: int  # index of the first b-file line
+    produce: Callable[[int], list[int]]  # the first `terms` values
+    limit: str = "{} terms"  # the bound as a refusal states it
+
+
+def _each_n(f: Callable[[int], int]) -> Callable[[int], list[int]]:
+    return lambda terms: [f(n) for n in range(1, terms + 1)]
+
+
+def _w_terms(terms: int) -> list[int]:
+    # from row k = 2, so the first b-file line is 2
+    table = build_triangle(terms + 1)
+    return [w(table, k) for k in range(2, terms + 2)]
+
+
+def _z_terms(terms: int) -> list[int]:
+    # z(1) = 1 ahead of the triangle's columns n >= 2
+    table = build_triangle(max(terms, 2))
+    return [1] + [z_from_triangle(table, n) for n in range(2, terms + 1)]
+
+
+def _residue_terms(terms: int) -> list[int]:
+    # level by level: the levels past the one completing `terms` are never built
+    levels = map(level_residues, range(1, MAX_RESIDUE_LEVEL + 1))
+    return list(islice(chain.from_iterable(levels), terms))
+
+
+SEQUENCES = {
+    "A020914": OeisSequence(lambda: MAX_LADDER_TERMS, 1, _each_n(sigma_n)),
+    "A020915": OeisSequence(lambda: MAX_LADDER_TERMS, 1, _each_n(min_surviving_n)),
+    "A022921": OeisSequence(lambda: MAX_LADDER_TERMS, 1, _each_n(d)),
+    "A056576": OeisSequence(lambda: MAX_LADDER_TERMS, 1, _each_n(kappa)),
+    "A076227": OeisSequence(lambda: MAX_TRIANGLE_TERMS, 2, _w_terms),
+    "A100982": OeisSequence(lambda: MAX_TRIANGLE_TERMS, 1, _z_terms),
+    "A177789": OeisSequence(  # one term per tree node
+        lambda: tree_node_count(1, MAX_RESIDUE_LEVEL),
+        1,
+        _residue_terms,
+        f"levels n <= {MAX_RESIDUE_LEVEL} ({{}} terms)",
+    ),
+    "A293308": OeisSequence(lambda: MAX_TUPLE_TERMS, 1, _each_n(ln_count)),
+}
+
+
 def _oeis_terms(seq: str, terms: int) -> list[int]:
-    if seq == "A020914":
-        _check_bound(seq, terms, MAX_LADDER_TERMS)
-        return [sigma_n(n) for n in range(1, terms + 1)]
-    if seq == "A022921":
-        _check_bound(seq, terms, MAX_LADDER_TERMS)
-        return [d(n) for n in range(1, terms + 1)]
-    if seq == "A056576":
-        _check_bound(seq, terms, MAX_LADDER_TERMS)
-        return [kappa(n) for n in range(1, terms + 1)]
-    if seq == "A020915":
-        _check_bound(seq, terms, MAX_LADDER_TERMS)
-        return [min_surviving_n(k) for k in range(1, terms + 1)]
-    if seq == "A293308":
-        _check_bound(seq, terms, MAX_TUPLE_TERMS)
-        return [ln_count(n) for n in range(1, terms + 1)]
-    if seq == "A076227":
-        _check_bound(seq, terms, MAX_TRIANGLE_TERMS)
-        table = build_triangle(terms + 1)
-        return [w(table, k) for k in range(2, terms + 2)]
-    if seq == "A100982":
-        _check_bound(seq, terms, MAX_TRIANGLE_TERMS)
-        if terms == 1:
-            return [1]
-        table = build_triangle(terms)
-        return [1] + [z_from_triangle(table, n) for n in range(2, terms + 1)]
-    if seq != "A177789":
+    spec = SEQUENCES.get(seq)
+    if spec is None:
         raise UsageError(f"unknown sequence {seq}")
-    # one term per tree node, counted from the triangle before anything is built
-    available = tree_node_count(1, MAX_RESIDUE_LEVEL)
-    if terms > available:
-        raise UsageError(
-            f"A177789 emission is bounded at levels n <= {MAX_RESIDUE_LEVEL} "
-            f"({available} terms); requested {terms}"
-        )
-    values: list[int] = []
-    for n in range(1, MAX_RESIDUE_LEVEL + 1):
-        if len(values) >= terms:
-            break
-        values.extend(level_residues(n))
-    return values[:terms]
-
-
-def _check_bound(seq: str, terms: int, bound: int) -> None:
-    if terms > bound:
-        raise UsageError(f"{seq} emission is bounded at {bound} terms; requested {terms}")
+    bound = spec.bound()
+    _refuse_above(f"{seq} emission is", terms, bound, lambda: spec.limit.format(bound))
+    return spec.produce(terms)
 
 
 def _cmd_oeis(args) -> int:
     if args.terms < 1:
         raise UsageError(f"terms must be >= 1, got {args.terms}")
     values = _oeis_terms(args.sequence, args.terms)
-    offset = 1 if args.offset is None else args.offset
-    if args.sequence == "A076227" and args.offset is None:
-        offset = 2  # first emitted value is the k = 2 row
-    sys.stdout.write(_emit_sequence(values, args.format, offset))
+    if args.format == "text":
+        sys.stdout.write(" ".join(map(str, values)) + "\n")
+        return 0
+    first = SEQUENCES[args.sequence].first if args.offset is None else args.offset
+    sys.stdout.write("".join(f"{i} {v}\n" for i, v in enumerate(values, first)))
     return 0
 
 
@@ -290,14 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("triangle", help="survivor-count triangle with w and z sums")
     p.add_argument("--max-n", type=int, required=True)
-    p.add_argument("--format", choices=["table", "csv", "bfile"], default="table")
-    p.add_argument(
-        "--sequence",
-        choices=["A100982", "A076227"],
-        default="A100982",
-        help="sequence to emit when --format bfile",
-    )
-    p.add_argument("--offset", type=int, default=None, help="b-file index origin")
+    p.add_argument("--format", choices=["table", "csv"], default="table")
     p.set_defaults(func=_cmd_triangle)
 
     p = sub.add_parser("vset", help="level-n parity vectors in generation order")

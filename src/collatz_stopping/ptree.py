@@ -171,21 +171,16 @@ def tree_node_count(n_lo: int, n_hi: int) -> int:
     return total
 
 
-def export_tree(
-    n_lo: int,
-    n_hi: int,
-    *,
-    with_solutions: bool = False,
-    max_nodes: int = DEFAULT_MAX_NODES,
-) -> str:
+def export_tree(n_lo: int, n_hi: int, *, with_solutions: bool = False) -> str:
     """Graphviz DOT text of the generation tree restricted to levels n_lo..n_hi.
 
     Levels become same-rank columns; step-1 edges run between columns and
-    step-2 edges run inside a column (drawn dashed).
+    step-2 edges run inside a column (drawn dashed).  An export of more than
+    DEFAULT_MAX_NODES nodes (read per call) raises TreeSizeError.
     """
     count = tree_node_count(n_lo, n_hi)
-    if count > max_nodes:
-        raise TreeSizeError(count, max_nodes)
+    if count > DEFAULT_MAX_NODES:
+        raise TreeSizeError(count, DEFAULT_MAX_NODES)
     lines = [
         "digraph parity_vector_tree {",
         "  rankdir=LR;",

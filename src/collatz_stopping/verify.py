@@ -51,7 +51,7 @@ def _children(parents, half: int, pow3: list[int]):
         yield (r, (3 * q + 1) >> 1, n + 1) if q & 1 else (r, q >> 1, n)
 
 
-def sieve(k: int, *, max_depth: int = SIEVE_MAX_DEPTH) -> list[SurvivalRecord]:
+def sieve(k: int) -> list[SurvivalRecord]:
     """Depth-k snapshot of the survival sieve, ascending by residue.
 
     Seeded at 3 (mod 4), the only non-trivial depth-2 class.  Each deeper
@@ -59,12 +59,13 @@ def sieve(k: int, *, max_depth: int = SIEVE_MAX_DEPTH) -> list[SurvivalRecord]:
     image, and r + 2^(depth-1), which shifts it by 3^n; one T-step follows.
     Both halves are ascending and need no sort, because the parents are.
     Each level is consumed by the next one's survivor filter, so only
-    survivors are kept, and records are built for depth k only.
+    survivors are kept, and records are built for depth k only.  Depths above
+    SIEVE_MAX_DEPTH (read per call) are refused with SieveBoundError.
     """
     if k < 2:
         raise ValueError(f"bit depth must be >= 2, got {k}")
-    if k > max_depth:
-        raise SieveBoundError(k, max_depth, w(build_triangle(k), k))
+    if k > SIEVE_MAX_DEPTH:
+        raise SieveBoundError(k, SIEVE_MAX_DEPTH, w(build_triangle(k), k))
     pow3 = [3**n for n in range(k + 1)]
     kap = [kappa(n) for n in range(k + 1)]
     level = [(3, 8, 2)]

@@ -3,7 +3,7 @@ import sys
 
 import pytest
 
-from collatz_stopping.cli import main
+from collatz_stopping.cli import SEQUENCES, main
 
 
 @pytest.fixture
@@ -161,19 +161,39 @@ def test_oeis_bfile_offset_override(run_cli):
     assert out.splitlines() == ["0 1", "1 2", "2 3"]
 
 
-def test_triangle_bfile_sequences(run_cli):
-    code, out, _ = run_cli(
-        "triangle", "--max-n", "11", "--format", "bfile", "--sequence", "A100982"
-    )
+def test_oeis_bfile_triangle_sequences(run_cli):
+    code, out, _ = run_cli("oeis", "A100982", "--terms", "11", "--format", "bfile")
     assert code == 0
     pairs = [tuple(map(int, line.split())) for line in out.splitlines()]
     assert pairs[0] == (1, 1)  # z(1) = 1 prepended
     assert pairs[-1] == (11, 2652)
-    code, out, _ = run_cli(
-        "triangle", "--max-n", "11", "--format", "bfile", "--sequence", "A076227"
-    )
+    code, out, _ = run_cli("oeis", "A076227", "--terms", "10", "--format", "bfile")
+    assert code == 0
     pairs = [tuple(map(int, line.split())) for line in out.splitlines()]
     assert pairs[0] == (2, 1) and pairs[-1] == (11, 128)
+
+
+def test_sequence_table_lists_the_catalogued_ids():
+    assert sorted(SEQUENCES) == [
+        "A020914", "A020915", "A022921", "A056576",
+        "A076227", "A100982", "A177789", "A293308",
+    ]
+
+
+@pytest.mark.parametrize("seq", sorted(SEQUENCES))
+def test_sequence_refuses_past_its_bound_and_numbers_its_bfile(run_cli, seq):
+    cache = _cleared_level_cache()
+    bound = SEQUENCES[seq].bound()
+    code, out, err = run_cli("oeis", seq, "--terms", str(bound + 1))
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {seq} emission is bounded at ")
+    assert err.endswith(f"; requested {bound + 1}\n")
+    info = cache.cache_info()
+    assert info.hits == info.misses == 0
+    code, out, _ = run_cli("oeis", seq, "--terms", "3", "--format", "bfile")
+    assert code == 0
+    first = 2 if seq == "A076227" else 1
+    assert [int(line.split()[0]) for line in out.splitlines()] == [first, first + 1, first + 2]
 
 
 def test_triangle_table_grid_layout(run_cli):
@@ -252,18 +272,27 @@ def test_oeis_refusal_builds_no_level(run_cli):
     assert cache.cache_info().currsize == 0
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ("verify", "--max-bits", "16", "--n-max", "20"),
-        ("residues", "--sigma-index", "15"),
-    ],
-)
+_LEVELS = "residue levels are bounded at n <= 14 (81117 classes)"
+_REFUSED_BEFORE_BUILDING = {
+    ("verify", "--max-bits", "16", "--n-max", "20"): f"{_LEVELS}; requested 20",
+    ("residues", "--sigma-index", "15"): f"{_LEVELS}; requested 15",
+    ("verify", "--max-bits", "33", "--n-max", "9"): (
+        "verify ranges are bounded at --max-bits <= 32 (4294967294 integers); "
+        "requested 33"
+    ),
+    ("vset", "15"): f"{_LEVELS}; requested 15",
+    ("tuples", "15"): (
+        "candidate tuples are bounded at n <= 14 (203490 tuples); requested 15"
+    ),
+}
+
+
+@pytest.mark.parametrize("argv", list(_REFUSED_BEFORE_BUILDING))
 def test_level_above_the_bound_is_refused_before_building(run_cli, argv):
     cache = _cleared_level_cache()
     code, out, err = run_cli(*argv)
-    assert code == 2 and out == "" and err.startswith("error: ")
-    assert f"bounded at n <= 14 (81117 classes); requested {argv[-1]}" in err
+    assert code == 2 and out == ""
+    assert err == f"error: {_REFUSED_BEFORE_BUILDING[argv]}\n"
     info = cache.cache_info()
     assert info.hits == info.misses == 0
 

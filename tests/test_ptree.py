@@ -171,9 +171,12 @@ def test_export_tree_partial_range_keeps_internal_edges():
     assert "v3_0 -> v4_0;" in dot
 
 
-def test_export_tree_size_guard():
+def test_export_tree_size_guard(monkeypatch):
+    from collatz_stopping import ptree
+
+    monkeypatch.setattr(ptree, "DEFAULT_MAX_NODES", 40)
     with pytest.raises(TreeSizeError) as exc:
-        export_tree(1, 6, max_nodes=40)
+        export_tree(1, 6)
     assert exc.value.node_count == 55
 
 

@@ -67,9 +67,12 @@ def test_sieve_records_match_forward_map():
         assert records == expected
 
 
-def test_sieve_bound_refusal_names_survivor_count():
+def test_sieve_bound_refusal_names_survivor_count(monkeypatch):
+    from collatz_stopping import verify
+
+    monkeypatch.setattr(verify, "SIEVE_MAX_DEPTH", 10)
     with pytest.raises(SieveBoundError) as exc:
-        sieve(12, max_depth=10)
+        sieve(12)
     assert exc.value.predicted_survivors == 226
 
 

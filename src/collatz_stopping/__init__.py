@@ -29,7 +29,7 @@ from .ptree import (
     phn_counts,
     vset_levels,
 )
-from .triangle import TriangleTable, build_triangle, w, z_from_triangle
+from .triangle import TriangleTable, build_triangle, class_counts, survivor_counts, w, z_from_triangle
 from .verify import (
     ResidueBlock,
     SurvivalRecord,
@@ -55,6 +55,7 @@ __all__ = [
     "alphas",
     "build_triangle",
     "check_corollary1",
+    "class_counts",
     "check_corollary3_delta",
     "check_corollary4",
     "d",
@@ -77,6 +78,7 @@ __all__ = [
     "solve_vector",
     "stopping_term",
     "stopping_time",
+    "survivor_counts",
     "t_step",
     "trajectory",
     "verify_range",

@@ -24,7 +24,7 @@ from .ptree import (
     ln_count,
     tree_node_count,
 )
-from .triangle import build_triangle, w, z_from_triangle
+from .triangle import build_triangle, class_counts, survivor_counts, w, z_from_triangle
 from .verify import level_residues, sieve, verify_range
 
 # Size bounds; _refuse_above turns any request past one into exit code 2.
@@ -74,6 +74,8 @@ def _cmd_sigma(args) -> int:
 
 
 def _cmd_ladder(args) -> int:
+    rows_limit = lambda: f"--max-n <= {MAX_LADDER_TERMS}"
+    _refuse_above("ladder rows are", args.max_n, MAX_LADDER_TERMS, rows_limit)
     rows = ladder_rows(args.max_n)
     if args.format == "csv":
         writer = csv.writer(sys.stdout)
@@ -88,6 +90,8 @@ def _cmd_ladder(args) -> int:
 
 
 def _cmd_triangle(args) -> int:
+    columns = lambda: f"--max-n <= {MAX_TRIANGLE_TERMS}"
+    _refuse_above("triangle columns are", args.max_n, MAX_TRIANGLE_TERMS, columns)
     table = build_triangle(args.max_n)
     if args.format == "csv":
         writer = csv.writer(sys.stdout)
@@ -209,18 +213,6 @@ def _each_n(f: Callable[[int], int]) -> Callable[[int], list[int]]:
     return lambda terms: [f(n) for n in range(1, terms + 1)]
 
 
-def _w_terms(terms: int) -> list[int]:
-    # from row k = 2, so the first b-file line is 2
-    table = build_triangle(terms + 1)
-    return [w(table, k) for k in range(2, terms + 2)]
-
-
-def _z_terms(terms: int) -> list[int]:
-    # z(1) = 1 ahead of the triangle's columns n >= 2
-    table = build_triangle(max(terms, 2))
-    return [1] + [z_from_triangle(table, n) for n in range(2, terms + 1)]
-
-
 def _residue_terms(terms: int) -> list[int]:
     # level by level: the levels past the one completing `terms` are never built
     levels = map(level_residues, range(1, MAX_RESIDUE_LEVEL + 1))
@@ -232,8 +224,8 @@ SEQUENCES = {
     "A020915": OeisSequence(lambda: MAX_LADDER_TERMS, 1, _each_n(min_surviving_n)),
     "A022921": OeisSequence(lambda: MAX_LADDER_TERMS, 1, _each_n(d)),
     "A056576": OeisSequence(lambda: MAX_LADDER_TERMS, 1, _each_n(kappa)),
-    "A076227": OeisSequence(lambda: MAX_TRIANGLE_TERMS, 2, _w_terms),
-    "A100982": OeisSequence(lambda: MAX_TRIANGLE_TERMS, 1, _z_terms),
+    "A076227": OeisSequence(lambda: MAX_TRIANGLE_TERMS, 2, lambda t: survivor_counts(t + 1)),
+    "A100982": OeisSequence(lambda: MAX_TRIANGLE_TERMS, 1, class_counts),
     "A177789": OeisSequence(  # one term per tree node
         lambda: tree_node_count(1, MAX_RESIDUE_LEVEL),
         1,

@@ -24,7 +24,7 @@ from math import comb
 from .core import Bits
 from .diophantine import solve_vector
 from .ladder import d, kappa
-from .triangle import build_triangle, z_from_triangle
+from .triangle import class_counts
 
 
 @dataclass(frozen=True)
@@ -149,26 +149,11 @@ def lex_tuples(n: int) -> list[Bits]:
 DEFAULT_MAX_NODES = 2000
 
 
-class TreeSizeError(ValueError):
-    """Raised instead of materializing an oversized export."""
-
-    def __init__(self, node_count: int, max_nodes: int):
-        self.node_count = node_count
-        self.max_nodes = max_nodes
-        super().__init__(
-            f"export would generate {node_count} nodes, above the guard of {max_nodes}"
-        )
-
-
 def tree_node_count(n_lo: int, n_hi: int) -> int:
     """Node count of an export over levels n_lo..n_hi, without generating it."""
     if not 1 <= n_lo <= n_hi:
         raise ValueError(f"need 1 <= n_lo <= n_hi, got {n_lo}..{n_hi}")
-    total = 1 if n_lo == 1 else 0
-    if n_hi >= 2:
-        table = build_triangle(n_hi)
-        total += sum(z_from_triangle(table, n) for n in range(max(2, n_lo), n_hi + 1))
-    return total
+    return sum(class_counts(n_hi)[n_lo - 1 :])
 
 
 def export_tree(n_lo: int, n_hi: int, *, with_solutions: bool = False) -> str:
@@ -176,11 +161,13 @@ def export_tree(n_lo: int, n_hi: int, *, with_solutions: bool = False) -> str:
 
     Levels become same-rank columns; step-1 edges run between columns and
     step-2 edges run inside a column (drawn dashed).  An export of more than
-    DEFAULT_MAX_NODES nodes (read per call) raises TreeSizeError.
+    DEFAULT_MAX_NODES nodes (read per call) raises ValueError.
     """
     count = tree_node_count(n_lo, n_hi)
     if count > DEFAULT_MAX_NODES:
-        raise TreeSizeError(count, DEFAULT_MAX_NODES)
+        raise ValueError(
+            f"export would generate {count} nodes, above the guard of {DEFAULT_MAX_NODES}"
+        )
     lines = [
         "digraph parity_vector_tree {",
         "  rankdir=LR;",

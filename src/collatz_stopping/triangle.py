@@ -8,13 +8,14 @@ step, hence the Pascal-like recurrence
     R(k+1, n) = R(k, n) + R(k, n-1),    seed R(2, 2) = 1,
 
 with cells existing only while 2^k < 3^n (stopped classes leave the pool).
-Row sums give the surviving-residue counts w(k); column sums give the class
-counts z(n).
+Rows are rolled one at a time; row sums give the surviving-residue counts
+w(k) and running column sums the class counts z(n), without the (k, n) table.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 
 from .ladder import kappa, min_surviving_n
 
@@ -30,18 +31,42 @@ class TriangleTable:
         return self.cells.get((k, n), 0)
 
 
+def _rows(max_n: int):
+    """Rows k = 2 .. kappa(max_n) over columns n <= max_n, one at a time, as
+    (k, lo, row) with row[i] = R(k, lo + i) for lo = min_surviving_n(k)."""
+    lo, row = 2, [1]
+    for k in range(2, kappa(max_n) + 1):
+        yield k, lo, row
+        # columns below min_surviving_n(k + 1) have stopped at depth k + 1
+        new_lo = min_surviving_n(k + 1)
+        row = [a + b for a, b in zip(row + [0], [0] + row)][new_lo - lo : max_n - lo + 1]
+        lo = new_lo
+
+
 def build_triangle(max_n: int) -> TriangleTable:
-    """Populate columns 2..max_n; column n holds rows k = n .. kappa(n)."""
+    """Every cell of columns 2..max_n; column n holds rows k = n .. kappa(n)."""
     if max_n < 2:
         raise ValueError(f"max_n must be >= 2, got {max_n}")
-    cells: dict[tuple[int, int], int] = {}
-    for n in range(2, max_n + 1):
-        for k in range(n, kappa(n) + 1):
-            if k == 2 and n == 2:
-                cells[(2, 2)] = 1
-            else:
-                cells[(k, n)] = cells.get((k - 1, n), 0) + cells.get((k - 1, n - 1), 0)
+    cells = {(k, n): v for k, lo, row in _rows(max_n) for n, v in enumerate(row, lo)}
     return TriangleTable(max_n=max_n, cells=cells)
+
+
+def survivor_counts(k_max: int) -> list[int]:
+    """[w(2), .., w(k_max)]: the sums of rows 2..k_max, one row held at a time."""
+    if k_max < 2:
+        raise ValueError(f"row must be >= 2, got {k_max}")
+    return [sum(row) for _, _, row in islice(_rows(k_max), k_max - 1)]
+
+
+def class_counts(n_max: int) -> list[int]:
+    """[z(1), .., z(n_max)]: z(1) = 1 for the tree's root, then column sums."""
+    if n_max < 1:
+        raise ValueError(f"column must be >= 1, got {n_max}")
+    z = [1] + [0] * (n_max - 1)
+    for _, lo, row in _rows(n_max):
+        for n, v in enumerate(row, lo):
+            z[n - 1] += v
+    return z
 
 
 def w(table: TriangleTable, k: int) -> int:

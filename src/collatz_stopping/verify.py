@@ -14,20 +14,9 @@ from dataclasses import dataclass
 from .diophantine import solve_vector
 from .ladder import kappa, sigma_n
 from .ptree import generate_vset, vset_levels
-from .triangle import build_triangle, w
+from .triangle import survivor_counts
 
 SIEVE_MAX_DEPTH = 26
-
-
-class SieveBoundError(ValueError):
-    """Refusal to run the sieve past its configured depth."""
-
-    def __init__(self, k: int, bound: int, predicted_survivors: int):
-        self.predicted_survivors = predicted_survivors
-        super().__init__(
-            f"sieve depth {k} exceeds the bound {bound}; "
-            f"it would track {predicted_survivors} surviving residues"
-        )
 
 
 @dataclass(frozen=True)
@@ -60,12 +49,16 @@ def sieve(k: int) -> list[SurvivalRecord]:
     Both halves are ascending and need no sort, because the parents are.
     Each level is consumed by the next one's survivor filter, so only
     survivors are kept, and records are built for depth k only.  Depths above
-    SIEVE_MAX_DEPTH (read per call) are refused with SieveBoundError.
+    SIEVE_MAX_DEPTH (read per call) are refused with a ValueError that names
+    w(k), the number of residues they would track.
     """
     if k < 2:
         raise ValueError(f"bit depth must be >= 2, got {k}")
     if k > SIEVE_MAX_DEPTH:
-        raise SieveBoundError(k, SIEVE_MAX_DEPTH, w(build_triangle(k), k))
+        raise ValueError(
+            f"sieve depth {k} exceeds the bound {SIEVE_MAX_DEPTH}; "
+            f"it would track {survivor_counts(k)[-1]} surviving residues"
+        )
     pow3 = [3**n for n in range(k + 1)]
     kap = [kappa(n) for n in range(k + 1)]
     level = [(3, 8, 2)]
@@ -207,9 +200,9 @@ def verify_range(
     Simulation runs with budget sigma_n(n_max) + 1; x that do not stop within
     the table horizon are counted as beyond_table, not as mismatches (they
     must then lie in no class at all).  The range is cut into blocks of
-    BLOCK_SIZE integers; at most min(jobs, blocks, CPUs) worker processes
-    run, and blocks are merged in ascending order, so the report is
-    identical for every jobs setting.
+    BLOCK_SIZE integers, scanned one at a time as the merge asks for them,
+    or by at most min(jobs, blocks, CPUs) worker processes; blocks are merged
+    in ascending order, so the report is identical for every jobs setting.
     """
     if x_lo < 2:
         raise ValueError(f"x_lo must be >= 2, got {x_lo}")
@@ -220,11 +213,12 @@ def verify_range(
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     classes = _prediction_classes(n_max)
-    blocks = [(lo, min(lo + BLOCK_SIZE, x_hi)) for lo in range(x_lo, x_hi, BLOCK_SIZE)]
+    starts = range(x_lo, x_hi, BLOCK_SIZE)
+    blocks = ((lo, min(lo + BLOCK_SIZE, x_hi)) for lo in starts)
     # the pool starts all max_workers processes at the first submit
-    workers = min(jobs, len(blocks), os.cpu_count() or 1)
+    workers = min(jobs, len(starts), os.cpu_count() or 1)
     if workers <= 1:
-        results = [_scan_block(lo, hi, classes) for lo, hi in blocks]
+        results = (_scan_block(lo, hi, classes) for lo, hi in blocks)
     else:
         with ProcessPoolExecutor(
             max_workers=workers, initializer=_init_worker, initargs=(classes,)

@@ -284,17 +284,45 @@ _REFUSED_BEFORE_BUILDING = {
     ("tuples", "15"): (
         "candidate tuples are bounded at n <= 14 (203490 tuples); requested 15"
     ),
+    ("triangle", "--max-n", "1001"): (
+        "triangle columns are bounded at --max-n <= 1000; requested 1001"
+    ),
+    ("ladder", "--max-n", "100001"): (
+        "ladder rows are bounded at --max-n <= 100000; requested 100001"
+    ),
 }
 
 
 @pytest.mark.parametrize("argv", list(_REFUSED_BEFORE_BUILDING))
-def test_level_above_the_bound_is_refused_before_building(run_cli, argv):
+def test_level_above_the_bound_is_refused_before_building(run_cli, argv, monkeypatch):
+    from collatz_stopping import cli
+
+    built = []
+    monkeypatch.setattr(cli, "build_triangle", built.append)
+    monkeypatch.setattr(cli, "ladder_rows", built.append)
     cache = _cleared_level_cache()
     code, out, err = run_cli(*argv)
     assert code == 2 and out == ""
     assert err == f"error: {_REFUSED_BEFORE_BUILDING[argv]}\n"
     info = cache.cache_info()
     assert info.hits == info.misses == 0
+    assert built == []
+
+
+def test_counts_are_read_without_building_a_table(run_cli, monkeypatch):
+    from collatz_stopping import ptree, triangle, verify
+
+    w1000 = triangle.w(triangle.build_triangle(1000), 1000)
+    tables = []
+    real = triangle.TriangleTable
+    monkeypatch.setattr(triangle, "TriangleTable", lambda **kw: tables.append(kw) or real(**kw))
+    with pytest.raises(ValueError, match=f"it would track {w1000} surviving residues$"):
+        verify.sieve(1000)
+    assert ptree.tree_node_count(1, 14) == 81117
+    for seq in ("A076227", "A100982"):
+        code, out, _ = run_cli("oeis", seq, "--terms", "1000")
+        assert code == 0 and len(out.split()) == 1000
+    assert tables == []
 
 
 def test_oeis_residues_stop_at_the_completing_level(run_cli):

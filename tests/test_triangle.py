@@ -1,7 +1,17 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from collatz_stopping.ladder import kappa, min_surviving_n
-from collatz_stopping.triangle import build_triangle, w, z_from_triangle
+from collatz_stopping.ptree import generate_vset
+from collatz_stopping.triangle import (
+    build_triangle,
+    class_counts,
+    survivor_counts,
+    w,
+    z_from_triangle,
+)
+from collatz_stopping.verify import sieve
 
 
 def test_seed_and_recurrence_cells():
@@ -71,3 +81,26 @@ def test_out_of_range_rejected():
         z_from_triangle(table, 1)
     with pytest.raises(ValueError):
         build_triangle(1)
+
+
+@settings(max_examples=30, deadline=None)
+@given(max_n=st.integers(2, 300))
+def test_rolled_counts_equal_the_table_readers(max_n):
+    table = build_triangle(max_n)
+    assert survivor_counts(max_n) == [w(table, k) for k in range(2, max_n + 1)]
+    assert class_counts(max_n) == [1] + [z_from_triangle(table, n) for n in range(2, max_n + 1)]
+
+
+@settings(max_examples=20, deadline=None)
+@given(k=st.integers(2, 18), n=st.integers(1, 12))
+def test_rolled_counts_equal_the_sieve_and_the_tree(k, n):
+    assert survivor_counts(k)[-1] == sum(rec.surviving for rec in sieve(k))
+    assert class_counts(n) == [len(generate_vset(m)) for m in range(1, n + 1)]
+
+
+def test_rolled_counts_reject_out_of_range():
+    with pytest.raises(ValueError):
+        survivor_counts(1)
+    with pytest.raises(ValueError):
+        class_counts(0)
+    assert class_counts(1) == [1]

@@ -5,13 +5,7 @@ from hypothesis import strategies as st
 from collatz_stopping.core import forward_map, stopping_time
 from collatz_stopping.ladder import kappa, sigma_n
 from collatz_stopping.triangle import build_triangle, w, z_from_triangle
-from collatz_stopping.verify import (
-    SieveBoundError,
-    level_residues,
-    residue_table,
-    sieve,
-    verify_range,
-)
+from collatz_stopping.verify import level_residues, residue_table, sieve, verify_range
 
 
 def test_sieve_seed():
@@ -71,9 +65,9 @@ def test_sieve_bound_refusal_names_survivor_count(monkeypatch):
     from collatz_stopping import verify
 
     monkeypatch.setattr(verify, "SIEVE_MAX_DEPTH", 10)
-    with pytest.raises(SieveBoundError) as exc:
+    refusal = "^sieve depth 12 exceeds the bound 10; it would track 226 surviving residues$"
+    with pytest.raises(ValueError, match=refusal):
         sieve(12)
-    assert exc.value.predicted_survivors == 226
 
 
 def test_sieve_rejects_shallow_depth():
@@ -233,6 +227,33 @@ def test_level_residues_refuses_a_non_member(monkeypatch):
         level_residues(3)
     with pytest.raises(RuntimeError, match="not a member"):
         residue_table(3)
+
+
+def test_verify_range_scans_each_block_without_listing_them(monkeypatch):
+    import tracemalloc
+
+    from collatz_stopping import verify
+
+    scanned = []
+
+    def scan(lo, hi, classes):
+        scanned.append(lo)
+        if len(scanned) == 3:
+            raise RuntimeError("third block")
+        return {None: hi - lo}, []
+
+    monkeypatch.setattr(verify, "BLOCK_SIZE", 1)
+    monkeypatch.setattr(verify, "_scan_block", scan)
+    residue_table(1)  # its levels are cached before the trace starts
+    tracemalloc.start()
+    try:
+        with pytest.raises(RuntimeError, match="third block"):
+            verify_range(2, 2 + 10**5, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # listing the 10^5 (lo, hi) pairs first would take several MB
+    assert scanned == [2, 3, 4] and peak < 1 << 20
 
 
 @pytest.mark.parametrize(

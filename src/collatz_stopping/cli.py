@@ -13,6 +13,7 @@ import sys
 from itertools import chain, islice
 from typing import Callable, NamedTuple
 
+from . import verify
 from .core import Bits, stopping_time
 from .diophantine import solve_vector
 from .ladder import d, kappa, ladder_rows, min_surviving_n, sigma_n
@@ -30,9 +31,11 @@ from .verify import level_residues, sieve, verify_range
 # Size bounds; _refuse_above turns any request past one into exit code 2.
 MAX_LADDER_TERMS = 100_000
 MAX_TRIANGLE_TERMS = 1_000
+MAX_TRIANGLE_GRID = 200  # the padded table grows about as max_n^3 bytes: 3.6 MB here
 MAX_TUPLE_TERMS = 10_000
 MAX_RESIDUE_LEVEL = 14
 MAX_VERIFY_BITS = 32
+MAX_SOLVE_LEVEL = 10_000  # solving takes time and memory about quadratic in the level
 
 
 class UsageError(Exception):
@@ -90,8 +93,8 @@ def _cmd_ladder(args) -> int:
 
 
 def _cmd_triangle(args) -> int:
-    columns = lambda: f"--max-n <= {MAX_TRIANGLE_TERMS}"
-    _refuse_above("triangle columns are", args.max_n, MAX_TRIANGLE_TERMS, columns)
+    bound = MAX_TRIANGLE_TERMS if args.format == "csv" else MAX_TRIANGLE_GRID
+    _refuse_above("triangle columns are", args.max_n, bound, lambda: f"--max-n <= {bound}")
     table = build_triangle(args.max_n)
     if args.format == "csv":
         writer = csv.writer(sys.stdout)
@@ -156,6 +159,8 @@ def _cmd_tuples(args) -> int:
 
 def _cmd_solve(args) -> int:
     vec = _parse_vector(args.vector)
+    levels = lambda: f"level n <= {MAX_SOLVE_LEVEL} ({kappa(MAX_SOLVE_LEVEL) + 1} bits)"
+    _refuse_above("solved vectors are", sum(vec) - 1, MAX_SOLVE_LEVEL, levels)
     sol = solve_vector(vec)
     member = "true" if sol.member else "false"
     print(f"x={sol.x} y={sol.y} member={member} h={leading_ones(vec)}")
@@ -173,6 +178,9 @@ def _cmd_residues(args) -> int:
 
 
 def _cmd_sieve(args) -> int:
+    bound = verify.SIEVE_MAX_DEPTH  # read per call, as the library reads it
+    depths = lambda: f"--k <= {bound} ({survivor_counts(bound)[-1]} surviving residues)"
+    _refuse_above("sieve depths are", args.k, bound, depths)
     records = sieve(args.k)
     if args.format == "csv":
         writer = csv.writer(sys.stdout)

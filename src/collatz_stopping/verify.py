@@ -134,9 +134,7 @@ class VerificationReport:
 
 Classes = list[tuple[int, int, frozenset]]
 
-_WORKER_CLASSES: Classes = []
-
-BLOCK_SIZE = 1 << 16
+BLOCK_SIZE = 1 << 16  # the fewest integers a worker process is started for
 
 
 def _prediction_classes(n_max: int) -> Classes:
@@ -182,15 +180,6 @@ def _scan_block(lo: int, hi: int, classes: Classes) -> tuple:
     return counts, mismatches
 
 
-def _init_worker(classes: Classes) -> None:
-    global _WORKER_CLASSES
-    _WORKER_CLASSES = classes
-
-
-def _worker(block: tuple[int, int]) -> tuple:
-    return _scan_block(block[0], block[1], _WORKER_CLASSES)
-
-
 def verify_range(
     x_lo: int, x_hi: int, n_max: int, *, jobs: int = 1
 ) -> VerificationReport:
@@ -199,10 +188,10 @@ def verify_range(
 
     Simulation runs with budget sigma_n(n_max) + 1; x that do not stop within
     the table horizon are counted as beyond_table, not as mismatches (they
-    must then lie in no class at all).  The range is cut into blocks of
-    BLOCK_SIZE integers, scanned one at a time as the merge asks for them,
-    or by at most min(jobs, blocks, CPUs) worker processes; blocks are merged
-    in ascending order, so the report is identical for every jobs setting.
+    must then lie in no class at all).  The range is scanned in one call, or
+    cut into one contiguous share per worker process, at most
+    min(jobs, ceil(width / BLOCK_SIZE), CPUs) of them; shares are merged in
+    ascending order, so the report is identical for every jobs setting.
     """
     if x_lo < 2:
         raise ValueError(f"x_lo must be >= 2, got {x_lo}")
@@ -213,23 +202,20 @@ def verify_range(
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     classes = _prediction_classes(n_max)
-    starts = range(x_lo, x_hi, BLOCK_SIZE)
-    blocks = ((lo, min(lo + BLOCK_SIZE, x_hi)) for lo in starts)
     # the pool starts all max_workers processes at the first submit
-    workers = min(jobs, len(starts), os.cpu_count() or 1)
+    workers = min(jobs, len(range(x_lo, x_hi, BLOCK_SIZE)), os.cpu_count() or 1)
     if workers <= 1:
-        results = (_scan_block(lo, hi, classes) for lo, hi in blocks)
+        results = [_scan_block(x_lo, x_hi, classes)]
     else:
-        with ProcessPoolExecutor(
-            max_workers=workers, initializer=_init_worker, initargs=(classes,)
-        ) as pool:
-            results = list(pool.map(_worker, blocks))
+        cuts = [x_lo + (x_hi - x_lo) * i // workers for i in range(workers + 1)]
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            results = list(pool.map(_scan_block, cuts[:-1], cuts[1:], [classes] * workers))
     counts: dict[int | None, int] = {}
     mismatches: list[tuple[int, int | None, int | None]] = []
-    for block_counts, block_mism in results:
-        for sig, c in block_counts.items():
+    for share_counts, share_mism in results:
+        for sig, c in share_counts.items():
             counts[sig] = counts.get(sig, 0) + c
-        mismatches.extend(block_mism)
+        mismatches.extend(share_mism)
     beyond = counts.pop(None, 0)
     return VerificationReport(
         x_lo=x_lo,

@@ -273,6 +273,8 @@ def test_oeis_refusal_builds_no_level(run_cli):
 
 
 _LEVELS = "residue levels are bounded at n <= 14 (81117 classes)"
+# level 10,001: 10,002 ones in kappa(10001) + 1 = 15,852 bits
+_LEVEL_10001 = ",".join(["1"] * 10_002 + ["0"] * (15_852 - 10_002))
 _REFUSED_BEFORE_BUILDING = {
     ("verify", "--max-bits", "16", "--n-max", "20"): f"{_LEVELS}; requested 20",
     ("residues", "--sigma-index", "15"): f"{_LEVELS}; requested 15",
@@ -284,11 +286,21 @@ _REFUSED_BEFORE_BUILDING = {
     ("tuples", "15"): (
         "candidate tuples are bounded at n <= 14 (203490 tuples); requested 15"
     ),
-    ("triangle", "--max-n", "1001"): (
+    ("triangle", "--max-n", "1001", "--format", "csv"): (
         "triangle columns are bounded at --max-n <= 1000; requested 1001"
     ),
     ("ladder", "--max-n", "100001"): (
         "ladder rows are bounded at --max-n <= 100000; requested 100001"
+    ),
+    ("triangle", "--max-n", "201"): (
+        "triangle columns are bounded at --max-n <= 200; requested 201"
+    ),
+    ("sieve", "--k", "40000"): (
+        "sieve depths are bounded at --k <= 26 (1037374 surviving residues); "
+        "requested 40000"
+    ),
+    ("solve", "--vector", _LEVEL_10001): (
+        "solved vectors are bounded at level n <= 10000 (15850 bits); requested 10001"
     ),
 }
 
@@ -297,9 +309,11 @@ _REFUSED_BEFORE_BUILDING = {
 def test_level_above_the_bound_is_refused_before_building(run_cli, argv, monkeypatch):
     from collatz_stopping import cli
 
-    built = []
-    monkeypatch.setattr(cli, "build_triangle", built.append)
-    monkeypatch.setattr(cli, "ladder_rows", built.append)
+    built, counted = [], []
+    for name in ("build_triangle", "ladder_rows", "sieve", "solve_vector"):
+        monkeypatch.setattr(cli, name, built.append)
+    real_counts = cli.survivor_counts
+    monkeypatch.setattr(cli, "survivor_counts", lambda k: counted.append(k) or real_counts(k))
     cache = _cleared_level_cache()
     code, out, err = run_cli(*argv)
     assert code == 2 and out == ""
@@ -307,6 +321,15 @@ def test_level_above_the_bound_is_refused_before_building(run_cli, argv, monkeyp
     info = cache.cache_info()
     assert info.hits == info.misses == 0
     assert built == []
+    # a refusal counts survivors no deeper than the sieve's own bound
+    assert all(k <= 26 for k in counted)
+
+
+def test_triangle_grid_is_bounded_below_the_csv(run_cli):
+    code, out, _ = run_cli("triangle", "--max-n", "201", "--format", "csv")
+    assert code == 0 and out.startswith("k,n,count\r\n")
+    code, out, _ = run_cli("triangle", "--max-n", "200")
+    assert code == 0 and out.startswith("d(n)  : ")
 
 
 def test_counts_are_read_without_building_a_table(run_cli, monkeypatch):

@@ -229,7 +229,7 @@ def test_level_residues_refuses_a_non_member(monkeypatch):
         residue_table(3)
 
 
-def test_verify_range_scans_each_block_without_listing_them(monkeypatch):
+def test_verify_range_one_worker_scans_the_range_in_one_call(monkeypatch):
     import tracemalloc
 
     from collatz_stopping import verify
@@ -237,9 +237,7 @@ def test_verify_range_scans_each_block_without_listing_them(monkeypatch):
     scanned = []
 
     def scan(lo, hi, classes):
-        scanned.append(lo)
-        if len(scanned) == 3:
-            raise RuntimeError("third block")
+        scanned.append((lo, hi))
         return {None: hi - lo}, []
 
     monkeypatch.setattr(verify, "BLOCK_SIZE", 1)
@@ -247,13 +245,47 @@ def test_verify_range_scans_each_block_without_listing_them(monkeypatch):
     residue_table(1)  # its levels are cached before the trace starts
     tracemalloc.start()
     try:
-        with pytest.raises(RuntimeError, match="third block"):
-            verify_range(2, 2 + 10**5, 1)
+        report = verify_range(2, 2 + 10**5, 1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # listing the 10^5 (lo, hi) pairs first would take several MB
-    assert scanned == [2, 3, 4] and peak < 1 << 20
+    # 10^5 one-integer blocks, yet one call and nothing listed per block
+    assert scanned == [(2, 2 + 10**5)] and report.beyond_table == 10**5
+    assert peak < 1 << 20
+
+
+def _in_process_pool(monkeypatch, cpus):
+    """Replace verify's process pool by one that runs each share here and
+    starts no process; returns the (max_workers, shares) of every pool made."""
+    from collatz_stopping import verify
+
+    pools = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            self.shares = []
+            pools.append((max_workers, self.shares))
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            starts, ends, tables = (list(it) for it in iterables)
+            self.shares.extend(zip(starts, ends))
+            return map(fn, starts, ends, tables)
+
+    monkeypatch.setattr(verify, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(verify.os, "cpu_count", lambda: cpus)
+    return pools
+
+
+def _assert_tiling(shares, lo, hi):
+    """shares are non-empty, ascending and cover [lo, hi) with no gap."""
+    assert [a for a, _ in shares] == [lo] + [b for _, b in shares[:-1]]
+    assert shares[-1][1] == hi and all(a < b for a, b in shares)
 
 
 @pytest.mark.parametrize(
@@ -263,29 +295,31 @@ def test_verify_range_scans_each_block_without_listing_them(monkeypatch):
 def test_verify_range_workers_clamped_to_cpus_and_blocks(monkeypatch, jobs, cpus, workers):
     from collatz_stopping import verify
 
-    requested = []
-
-    class InProcessPool:
-        """Records max_workers and runs every block here; starts no process."""
-
-        def __init__(self, max_workers, initializer, initargs):
-            requested.append(max_workers)
-            initializer(*initargs)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items):
-            return map(fn, items)
-
-    monkeypatch.setattr(verify, "ProcessPoolExecutor", InProcessPool)
-    monkeypatch.setattr(verify, "_WORKER_CLASSES", [])
-    monkeypatch.setattr(verify.os, "cpu_count", lambda: cpus)
+    pools = _in_process_pool(monkeypatch, cpus)
     monkeypatch.setattr(verify, "BLOCK_SIZE", 1024)
     # ten blocks of 2^10 integers
     report = verify_range(2, 2 + 10 * 1024, 6, jobs=jobs)
-    assert requested == ([] if workers is None else [workers])
+    assert [w for w, _ in pools] == ([] if workers is None else [workers])
+    for w, shares in pools:
+        assert len(shares) == w
+        _assert_tiling(shares, 2, 2 + 10 * 1024)
     assert report == verify_range(2, 2 + 10 * 1024, 6)
+
+
+def test_parallel_merge_keeps_mismatch_order_across_shares(monkeypatch):
+    from collatz_stopping import verify
+
+    # without 23 (mod 32), each x = 23 (mod 32) stops at 5 in no class
+    _forge_level(monkeypatch, 2, lambda rs: rs - {23})
+    pools = _in_process_pool(monkeypatch, 3)
+    monkeypatch.setattr(verify, "BLOCK_SIZE", 64)
+    hi = 2 + 3 * 64
+    parallel = verify_range(2, hi, 4, jobs=3)
+    serial = verify_range(2, hi, 4, jobs=1)
+    (workers, shares), = pools
+    assert workers == 3 and len(shares) == 3
+    _assert_tiling(shares, 2, hi)
+    # two mismatches fall in each share, and they stay ascending across them
+    assert all(sum(a <= x < b for x in range(23, hi, 32)) == 2 for a, b in shares)
+    assert parallel == serial
+    assert parallel.mismatches == tuple((x, None, 5) for x in range(23, hi, 32))

@@ -32,10 +32,10 @@ from .verify import level_residues, sieve, verify_range
 MAX_LADDER_TERMS = 100_000
 MAX_TRIANGLE_TERMS = 1_000
 MAX_TRIANGLE_GRID = 200  # the padded table grows about as max_n^3 bytes: 3.6 MB here
-MAX_TUPLE_TERMS = 10_000
+MAX_TUPLE_TERMS = 9_000  # ln_count rises with n: term 9,000 has 4,077 digits
 MAX_RESIDUE_LEVEL = 14
 MAX_VERIFY_BITS = 32
-MAX_SOLVE_LEVEL = 10_000  # solving takes time and memory about quadratic in the level
+MAX_SOLVE_LEVEL = 9_000  # x < 2 * 3^(n+1): within CPython's 4,300-digit int-to-str limit
 
 
 class UsageError(Exception):

@@ -8,7 +8,6 @@ tree construction so the three can be checked against each other.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from .diophantine import solve_vector
@@ -207,6 +206,9 @@ def verify_range(
     if workers <= 1:
         results = [_scan_block(x_lo, x_hi, classes)]
     else:
+        # imported here: it loads multiprocessing, which no other path needs
+        from concurrent.futures import ProcessPoolExecutor
+
         cuts = [x_lo + (x_hi - x_lo) * i // workers for i in range(workers + 1)]
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_scan_block, cuts[:-1], cuts[1:], [classes] * workers))

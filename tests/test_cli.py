@@ -4,6 +4,7 @@ import sys
 import pytest
 
 from collatz_stopping.cli import SEQUENCES, main
+from collatz_stopping.ladder import kappa
 
 
 @pytest.fixture
@@ -181,11 +182,16 @@ def test_sequence_table_lists_the_catalogued_ids():
 
 
 @pytest.mark.parametrize("seq", sorted(SEQUENCES))
-def test_sequence_refuses_past_its_bound_and_numbers_its_bfile(run_cli, seq):
+def test_sequence_refuses_past_its_bound_and_numbers_its_bfile(run_cli, seq, monkeypatch):
     cache = _cleared_level_cache()
-    bound = SEQUENCES[seq].bound()
+    spec = SEQUENCES[seq]
+    produced = []
+    spy = lambda terms: produced.append(terms) or spec.produce(terms)
+    monkeypatch.setitem(SEQUENCES, seq, spec._replace(produce=spy))
+    bound = spec.bound()
     code, out, err = run_cli("oeis", seq, "--terms", str(bound + 1))
-    assert code == 2 and out == ""
+    # refused before a single term is computed
+    assert code == 2 and out == "" and produced == []
     assert err.startswith(f"error: {seq} emission is bounded at ")
     assert err.endswith(f"; requested {bound + 1}\n")
     info = cache.cache_info()
@@ -272,6 +278,11 @@ def test_oeis_refusal_builds_no_level(run_cli):
     assert cache.cache_info().currsize == 0
 
 
+def _leading_ones(n):
+    """The level-n vector of n + 1 ones followed by zeros, kappa(n) + 1 bits."""
+    return ",".join(["1"] * (n + 1) + ["0"] * (kappa(n) - n))
+
+
 _LEVELS = "residue levels are bounded at n <= 14 (81117 classes)"
 # level 10,001: 10,002 ones in kappa(10001) + 1 = 15,852 bits
 _LEVEL_10001 = ",".join(["1"] * 10_002 + ["0"] * (15_852 - 10_002))
@@ -300,7 +311,13 @@ _REFUSED_BEFORE_BUILDING = {
         "requested 40000"
     ),
     ("solve", "--vector", _LEVEL_10001): (
-        "solved vectors are bounded at level n <= 10000 (15850 bits); requested 10001"
+        "solved vectors are bounded at level n <= 9000 (14265 bits); requested 10001"
+    ),
+    ("solve", "--vector", _leading_ones(9_001)): (
+        "solved vectors are bounded at level n <= 9000 (14265 bits); requested 9001"
+    ),
+    ("oeis", "A293308", "--terms", "9001"): (
+        "A293308 emission is bounded at 9000 terms; requested 9001"
     ),
 }
 
@@ -323,6 +340,23 @@ def test_level_above_the_bound_is_refused_before_building(run_cli, argv, monkeyp
     assert built == []
     # a refusal counts survivors no deeper than the sieve's own bound
     assert all(k <= 26 for k in counted)
+
+
+def test_printed_bounds_stay_within_the_int_to_str_digit_limit():
+    from collatz_stopping.cli import MAX_SOLVE_LEVEL, MAX_TUPLE_TERMS
+    from collatz_stopping.ptree import ln_count
+
+    # x < 2^sigma < 2 * 3^(n+1) and y < 1.25 * 3^(n+1); this holds up to level 9,010
+    assert 2 * 3 ** (MAX_SOLVE_LEVEL + 1) < 10**4300
+    # ln_count rises with n, so the last term allowed is the longest printed
+    assert ln_count(MAX_TUPLE_TERMS - 1) < ln_count(MAX_TUPLE_TERMS) < 10**4300
+
+
+def test_solve_prints_the_last_level_allowed(run_cli):
+    # level 9,001 is refused before solving (_REFUSED_BEFORE_BUILDING)
+    code, out, err = run_cli("solve", "--vector", _leading_ones(9_000))
+    assert code == 0 and err == "" and out.startswith("x=")
+    assert out.endswith(" member=true h=9001\n")
 
 
 def test_triangle_grid_is_bounded_below_the_csv(run_cli):

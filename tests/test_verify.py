@@ -254,9 +254,54 @@ def test_verify_range_one_worker_scans_the_range_in_one_call(monkeypatch):
     assert peak < 1 << 20
 
 
+_LEAN_START = """
+import json, sys
+
+before = set(sys.modules)
+import collatz_stopping
+from collatz_stopping import cli, verify
+
+cli.build_parser()
+code = cli.main(["verify", "--max-bits", "12", "--n-max", "5"])
+pool_modules = sorted(
+    m for m in set(sys.modules) - before if m.startswith(("multiprocessing", "concurrent"))
+)
+verify.os.cpu_count = lambda: 2
+hi = 2 + 2 * verify.BLOCK_SIZE
+same = verify.verify_range(2, hi, 6, jobs=2) == verify.verify_range(2, hi, 6, jobs=1)
+print(json.dumps([code, pool_modules, same, "concurrent.futures.process" in sys.modules]))
+"""
+
+
+def test_start_up_loads_no_pool_until_verify_starts_one():
+    import json
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _LEAN_START],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.returncode == 0, proc.stderr
+    code, pool_modules, same, pool_loaded = json.loads(proc.stdout.splitlines()[-1])
+    # the CLI ran verify with jobs=1 and left the process machinery unloaded
+    assert code == 0 and pool_modules == []
+    # two shares of 2^16 integers on 2 CPUs: the real pool starts 2 processes
+    assert same and pool_loaded
+
+
 def _in_process_pool(monkeypatch, cpus):
-    """Replace verify's process pool by one that runs each share here and
-    starts no process; returns the (max_workers, shares) of every pool made."""
+    """Replace the process pool verify imports by one that runs each share
+    here and starts no process; returns the (max_workers, shares) of every
+    pool made."""
+    import concurrent.futures
+
     from collatz_stopping import verify
 
     pools = []
@@ -277,7 +322,7 @@ def _in_process_pool(monkeypatch, cpus):
             self.shares.extend(zip(starts, ends))
             return map(fn, starts, ends, tables)
 
-    monkeypatch.setattr(verify, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
     monkeypatch.setattr(verify.os, "cpu_count", lambda: cpus)
     return pools
 

@@ -1,8 +1,8 @@
 """Command-line entry point exposing every subsystem.
 
 Exit codes: 0 on success, 1 when a verification finds mismatches, 2 on usage
-errors (bad flags, malformed vectors, unknown sequences, requests above a
-named size bound, and any parameter the library refuses with a ValueError).
+errors: bad flags, and every ValueError (malformed vectors, unknown sequences,
+requests above a named size bound, and any parameter the library refuses).
 """
 
 from __future__ import annotations
@@ -13,8 +13,7 @@ import sys
 from itertools import chain, islice
 from typing import Callable, NamedTuple
 
-from . import verify
-from .core import Bits, stopping_time
+from .core import Bits, _refuse_above, stopping_time
 from .diophantine import solve_vector
 from .ladder import d, kappa, ladder_rows, min_surviving_n, sigma_n
 from .ptree import (
@@ -38,28 +37,17 @@ MAX_VERIFY_BITS = 32
 MAX_SOLVE_LEVEL = 9_000  # x < 2 * 3^(n+1): within CPython's 4,300-digit int-to-str limit
 
 
-class UsageError(Exception):
-    pass
-
-
-def _refuse_above(what: str, request: int, bound: int, limit: Callable[[], str]) -> None:
-    """The one size refusal: "<what> bounded at <limit()>; requested <request>".
-    limit() may count classes or tuples, so it runs only when refusing."""
-    if request > bound:
-        raise UsageError(f"{what} bounded at {limit()}; requested {request}")
-
-
 def _level_limit() -> str:
-    return f"n <= {MAX_RESIDUE_LEVEL} ({tree_node_count(1, MAX_RESIDUE_LEVEL)} classes)"
+    return f"n <= {MAX_RESIDUE_LEVEL} ({tree_node_count(MAX_RESIDUE_LEVEL)} classes)"
 
 
 def _parse_vector(text: str) -> Bits:
     try:
         bits = tuple(int(b) for b in text.split(","))
     except ValueError:
-        raise UsageError(f"cannot parse vector {text!r}: expected comma-separated bits")
+        raise ValueError(f"cannot parse vector {text!r}: expected comma-separated bits")
     if not bits or any(b not in (0, 1) for b in bits):
-        raise UsageError(f"vector must consist of 0s and 1s, got {text!r}")
+        raise ValueError(f"vector must consist of 0s and 1s, got {text!r}")
     return bits
 
 
@@ -122,7 +110,7 @@ def _cmd_triangle(args) -> int:
 def _cmd_vset(args) -> int:
     _refuse_above("residue levels are", args.n, MAX_RESIDUE_LEVEL, _level_limit)
     if args.format == "dot":
-        sys.stdout.write(export_tree(1, args.n, with_solutions=args.with_solutions))
+        sys.stdout.write(export_tree(args.n, with_solutions=args.with_solutions))
         return 0
     entries = generate_vset(args.n)
     solutions = (
@@ -178,9 +166,6 @@ def _cmd_residues(args) -> int:
 
 
 def _cmd_sieve(args) -> int:
-    bound = verify.SIEVE_MAX_DEPTH  # read per call, as the library reads it
-    depths = lambda: f"--k <= {bound} ({survivor_counts(bound)[-1]} surviving residues)"
-    _refuse_above("sieve depths are", args.k, bound, depths)
     records = sieve(args.k)
     if args.format == "csv":
         writer = csv.writer(sys.stdout)
@@ -199,6 +184,8 @@ def _cmd_verify(args) -> int:
     _refuse_above("residue levels are", args.n_max, MAX_RESIDUE_LEVEL, _level_limit)
     ints = lambda: f"--max-bits <= {MAX_VERIFY_BITS} ({2**MAX_VERIFY_BITS - 2} integers)"
     _refuse_above("verify ranges are", args.max_bits, MAX_VERIFY_BITS, ints)
+    if args.max_bits < 2:
+        raise ValueError(f"--max-bits must be >= 2, got {args.max_bits}")
     report = verify_range(2, 1 << args.max_bits, args.n_max, jobs=args.jobs)
     print(f"range [2, 2^{args.max_bits}), n_max={args.n_max}")
     for sig in sorted(report.counts):
@@ -235,7 +222,7 @@ SEQUENCES = {
     "A076227": OeisSequence(lambda: MAX_TRIANGLE_TERMS, 2, lambda t: survivor_counts(t + 1)),
     "A100982": OeisSequence(lambda: MAX_TRIANGLE_TERMS, 1, class_counts),
     "A177789": OeisSequence(  # one term per tree node
-        lambda: tree_node_count(1, MAX_RESIDUE_LEVEL),
+        lambda: tree_node_count(MAX_RESIDUE_LEVEL),
         1,
         _residue_terms,
         f"levels n <= {MAX_RESIDUE_LEVEL} ({{}} terms)",
@@ -247,7 +234,7 @@ SEQUENCES = {
 def _oeis_terms(seq: str, terms: int) -> list[int]:
     spec = SEQUENCES.get(seq)
     if spec is None:
-        raise UsageError(f"unknown sequence {seq}")
+        raise ValueError(f"unknown sequence {seq}")
     bound = spec.bound()
     _refuse_above(f"{seq} emission is", terms, bound, lambda: spec.limit.format(bound))
     return spec.produce(terms)
@@ -255,7 +242,7 @@ def _oeis_terms(seq: str, terms: int) -> list[int]:
 
 def _cmd_oeis(args) -> int:
     if args.terms < 1:
-        raise UsageError(f"terms must be >= 1, got {args.terms}")
+        raise ValueError(f"terms must be >= 1, got {args.terms}")
     values = _oeis_terms(args.sequence, args.terms)
     if args.format == "text":
         sys.stdout.write(" ".join(map(str, values)) + "\n")
@@ -334,7 +321,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (UsageError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

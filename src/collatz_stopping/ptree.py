@@ -21,7 +21,7 @@ from functools import lru_cache
 from itertools import combinations
 from math import comb
 
-from .core import Bits
+from .core import Bits, _refuse_above
 from .diophantine import solve_vector
 from .ladder import d, kappa
 from .triangle import class_counts
@@ -149,46 +149,45 @@ def lex_tuples(n: int) -> list[Bits]:
 DEFAULT_MAX_NODES = 2000
 
 
-def tree_node_count(n_lo: int, n_hi: int) -> int:
-    """Node count of an export over levels n_lo..n_hi, without generating it."""
-    if not 1 <= n_lo <= n_hi:
-        raise ValueError(f"need 1 <= n_lo <= n_hi, got {n_lo}..{n_hi}")
-    return sum(class_counts(n_hi)[n_lo - 1 :])
+def tree_node_count(n: int) -> int:
+    """Node count of an export over levels 1..n, without generating it."""
+    return sum(class_counts(n))
 
 
-def export_tree(n_lo: int, n_hi: int, *, with_solutions: bool = False) -> str:
-    """Graphviz DOT text of the generation tree restricted to levels n_lo..n_hi.
+def export_tree(n: int, *, with_solutions: bool = False) -> str:
+    """Graphviz DOT text of the generation tree over levels 1..n.
 
     Levels become same-rank columns; step-1 edges run between columns and
-    step-2 edges run inside a column (drawn dashed).  An export of more than
-    DEFAULT_MAX_NODES nodes (read per call) raises ValueError.
+    step-2 edges run inside a column (drawn dashed).  Levels deeper than the
+    deepest whose export fits DEFAULT_MAX_NODES nodes (read per call) are
+    refused with a ValueError; node counts rise with n, so that level is found
+    by counting levels only until the guard is passed.
     """
-    count = tree_node_count(n_lo, n_hi)
-    if count > DEFAULT_MAX_NODES:
-        raise ValueError(
-            f"export would generate {count} nodes, above the guard of {DEFAULT_MAX_NODES}"
-        )
+    if n < 1:
+        raise ValueError(f"level must be >= 1, got {n}")
+    fits, nodes = 0, 0
+    while (more := tree_node_count(fits + 1)) <= DEFAULT_MAX_NODES:
+        fits, nodes = fits + 1, more
+    _refuse_above("tree exports are", n, fits, lambda: f"n <= {fits} ({nodes} nodes)")
     lines = [
         "digraph parity_vector_tree {",
         "  rankdir=LR;",
         '  node [shape=box fontname="monospace"];',
     ]
-    for n in range(n_lo, n_hi + 1):
-        lines.append(f"  {{ rank=same; /* level {n} */")
-        for i, entry in enumerate(_built_level(n)):
+    for level in range(1, n + 1):
+        lines.append(f"  {{ rank=same; /* level {level} */")
+        for i, entry in enumerate(_built_level(level)):
             label = "(" + ",".join(map(str, entry.vector)) + ")"
             if with_solutions:
                 label += f"\\nx={solve_vector(entry.vector).x}"
-            lines.append(f'    v{n}_{i} [label="{label}"];')
+            lines.append(f'    v{level}_{i} [label="{label}"];')
         lines.append("  }")
-    for n in range(n_lo, n_hi + 1):
-        for i, entry in enumerate(_built_level(n)):
-            if entry.parent is None:
-                continue
+    for level in range(2, n + 1):
+        for i, entry in enumerate(_built_level(level)):
             kind, pi = entry.parent
-            if kind == "step1" and n - 1 >= n_lo:
-                lines.append(f"  v{n - 1}_{pi} -> v{n}_{i};")
-            elif kind == "step2":
-                lines.append(f"  v{n}_{pi} -> v{n}_{i} [style=dashed];")
+            if kind == "step1":
+                lines.append(f"  v{level - 1}_{pi} -> v{level}_{i};")
+            else:
+                lines.append(f"  v{level}_{pi} -> v{level}_{i} [style=dashed];")
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -10,6 +10,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 
+from .core import _refuse_above
 from .diophantine import solve_vector
 from .ladder import kappa, sigma_n
 from .ptree import generate_vset, vset_levels
@@ -49,15 +50,13 @@ def sieve(k: int) -> list[SurvivalRecord]:
     Each level is consumed by the next one's survivor filter, so only
     survivors are kept, and records are built for depth k only.  Depths above
     SIEVE_MAX_DEPTH (read per call) are refused with a ValueError that names
-    w(k), the number of residues they would track.
+    w(SIEVE_MAX_DEPTH), the residues the deepest permitted depth tracks.
     """
     if k < 2:
         raise ValueError(f"bit depth must be >= 2, got {k}")
-    if k > SIEVE_MAX_DEPTH:
-        raise ValueError(
-            f"sieve depth {k} exceeds the bound {SIEVE_MAX_DEPTH}; "
-            f"it would track {survivor_counts(k)[-1]} surviving residues"
-        )
+    bound = SIEVE_MAX_DEPTH
+    depths = lambda: f"k <= {bound} ({survivor_counts(bound)[-1]} surviving residues)"
+    _refuse_above("sieve depths are", k, bound, depths)
     pow3 = [3**n for n in range(k + 1)]
     kap = [kappa(n) for n in range(k + 1)]
     level = [(3, 8, 2)]

@@ -134,9 +134,9 @@ def test_oeis_unknown_sequence(run_cli):
 
 
 def test_oeis_terms_rejects_unknown_sequence_itself():
-    from collatz_stopping.cli import UsageError, _oeis_terms
+    from collatz_stopping.cli import _oeis_terms
 
-    with pytest.raises(UsageError, match="unknown sequence"):
+    with pytest.raises(ValueError, match="unknown sequence"):
         _oeis_terms("A999999", 1)
 
 
@@ -231,6 +231,7 @@ def test_usage_error_exit_code():
         ("ladder", "--max-n", "0"),
         ("triangle", "--max-n", "1"),
         ("sigma", "5", "--cap", "0"),
+        ("vset", "0", "--format", "dot"),
     ],
 )
 def test_parameter_refused_by_the_library_exits_2(run_cli, argv):
@@ -307,7 +308,7 @@ _REFUSED_BEFORE_BUILDING = {
         "triangle columns are bounded at --max-n <= 200; requested 201"
     ),
     ("sieve", "--k", "40000"): (
-        "sieve depths are bounded at --k <= 26 (1037374 surviving residues); "
+        "sieve depths are bounded at k <= 26 (1037374 surviving residues); "
         "requested 40000"
     ),
     ("solve", "--vector", _LEVEL_10001): (
@@ -319,18 +320,22 @@ _REFUSED_BEFORE_BUILDING = {
     ("oeis", "A293308", "--terms", "9001"): (
         "A293308 emission is bounded at 9000 terms; requested 9001"
     ),
+    ("verify", "--max-bits", "-1", "--n-max", "9"): "--max-bits must be >= 2, got -1",
+    ("verify", "--max-bits", "1", "--n-max", "9"): "--max-bits must be >= 2, got 1",
 }
 
 
 @pytest.mark.parametrize("argv", list(_REFUSED_BEFORE_BUILDING))
 def test_level_above_the_bound_is_refused_before_building(run_cli, argv, monkeypatch):
-    from collatz_stopping import cli
+    from collatz_stopping import cli, triangle, verify
 
     built, counted = [], []
-    for name in ("build_triangle", "ladder_rows", "sieve", "solve_vector"):
+    for name in ("build_triangle", "ladder_rows", "solve_vector"):
         monkeypatch.setattr(cli, name, built.append)
-    real_counts = cli.survivor_counts
-    monkeypatch.setattr(cli, "survivor_counts", lambda k: counted.append(k) or real_counts(k))
+    monkeypatch.setattr(verify, "_children", lambda *args: built.append(args))
+    count = lambda k: counted.append(k) or triangle.survivor_counts(k)
+    for module in (cli, verify):
+        monkeypatch.setattr(module, "survivor_counts", count)
     cache = _cleared_level_cache()
     code, out, err = run_cli(*argv)
     assert code == 2 and out == ""
@@ -369,13 +374,12 @@ def test_triangle_grid_is_bounded_below_the_csv(run_cli):
 def test_counts_are_read_without_building_a_table(run_cli, monkeypatch):
     from collatz_stopping import ptree, triangle, verify
 
-    w1000 = triangle.w(triangle.build_triangle(1000), 1000)
     tables = []
     real = triangle.TriangleTable
     monkeypatch.setattr(triangle, "TriangleTable", lambda **kw: tables.append(kw) or real(**kw))
-    with pytest.raises(ValueError, match=f"it would track {w1000} surviving residues$"):
+    with pytest.raises(ValueError, match=r"k <= 26 \(1037374 surviving residues\); requested 1000$"):
         verify.sieve(1000)
-    assert ptree.tree_node_count(1, 14) == 81117
+    assert ptree.tree_node_count(14) == 81117
     for seq in ("A076227", "A100982"):
         code, out, _ = run_cli("oeis", seq, "--terms", "1000")
         assert code == 0 and len(out.split()) == 1000

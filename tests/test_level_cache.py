@@ -19,7 +19,7 @@ def test_each_level_is_extended_once(monkeypatch):
     for n in range(2, 11):
         phn_counts(n)
     vset_levels(10)
-    export_tree(1, 6)
+    export_tree(6)
     residue_table(10)
     verify_range(2, 4096, 10)
     assert sorted(extended) == list(range(2, 11))

@@ -146,40 +146,42 @@ def test_level_five_nonmember_ranks():
 
 
 def test_export_tree_node_counts():
-    assert tree_node_count(1, 4) == 13
-    assert tree_node_count(1, 1) == 1
-    assert tree_node_count(1, 6) == 55
-    dot = export_tree(1, 4)
+    assert tree_node_count(4) == 13
+    assert tree_node_count(1) == 1
+    assert tree_node_count(6) == 55
+    dot = export_tree(4)
     assert dot.count("[label=") == 13
     assert dot.count("->") == 12  # a tree: nodes - 1 edges
-    assert export_tree(1, 1).count("[label=") == 1
+    assert export_tree(1).count("[label=") == 1
 
 
 def test_export_tree_contains_known_edges():
-    dot = export_tree(1, 4)
+    dot = export_tree(4)
     # the root's step-1 edge and the two-swap step-2 chain inside level 4
     assert "v1_0 -> v2_0;" in dot
     assert "v4_4 -> v4_5 [style=dashed];" in dot
     assert "v4_5 -> v4_6 [style=dashed];" in dot
 
 
-def test_export_tree_partial_range_keeps_internal_edges():
-    dot = export_tree(3, 4)
-    assert dot.count("[label=") == 10  # 3 + 7
-    assert "v2_" not in dot
-    assert "v3_0 -> v4_0;" in dot
-
-
 def test_export_tree_size_guard(monkeypatch):
-    from collatz_stopping import ptree
+    from collatz_stopping import ptree, triangle
 
+    def counts(n):  # levels are counted only until the guard is passed
+        if n > 6:
+            pytest.fail(f"classes counted to level {n}, past the guard")
+        return triangle.class_counts(n)
+
+    # levels 1..5 hold 25 nodes and levels 1..6 hold 55
     monkeypatch.setattr(ptree, "DEFAULT_MAX_NODES", 40)
-    with pytest.raises(ValueError, match="^export would generate 55 nodes, above the guard of 40$"):
-        export_tree(1, 6)
+    monkeypatch.setattr(ptree, "class_counts", counts)
+    for n in (6, 10**5):
+        refusal = rf"^tree exports are bounded at n <= 5 \(25 nodes\); requested {n}$"
+        with pytest.raises(ValueError, match=refusal):
+            export_tree(n)
 
 
 def test_export_tree_with_solutions():
-    dot = export_tree(1, 3, with_solutions=True)
+    dot = export_tree(3, with_solutions=True)
     assert "x=59" in dot and "x=3" in dot
 
 

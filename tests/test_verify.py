@@ -62,12 +62,19 @@ def test_sieve_records_match_forward_map():
 
 
 def test_sieve_bound_refusal_names_survivor_count(monkeypatch):
-    from collatz_stopping import verify
+    from collatz_stopping import triangle, verify
+
+    def counts(k):  # the refusal counts survivors at the bound, never at the request
+        if k > 10:
+            pytest.fail(f"survivors counted to depth {k}, past the bound")
+        return triangle.survivor_counts(k)
 
     monkeypatch.setattr(verify, "SIEVE_MAX_DEPTH", 10)
-    refusal = "^sieve depth 12 exceeds the bound 10; it would track 226 surviving residues$"
-    with pytest.raises(ValueError, match=refusal):
-        sieve(12)
+    monkeypatch.setattr(verify, "survivor_counts", counts)
+    for k in (12, 10**5):
+        refusal = rf"^sieve depths are bounded at k <= 10 \(64 surviving residues\); requested {k}$"
+        with pytest.raises(ValueError, match=refusal):
+            sieve(k)
 
 
 def test_sieve_rejects_shallow_depth():

@@ -7,17 +7,19 @@ with 2^sigma_n | 3^(n+1) * x + S.  Since 3^(n+1) is odd it is invertible
 mod 2^sigma_n, so each vector has one solution x in (0, 2^sigma_n), found
 here by modular inverse rather than by an odd-multiplier scan; the scan
 survives as lambda_step, an independent cross-check route.  Membership is
-decided by simulating x's own trajectory once, the same walk that confirms
-the solution reproduces v; the consistency checks raise RuntimeError.
+decided by walking x's own trajectory once in place, with no list of terms:
+the same walk confirms the solution reproduces v bit by bit and keeps the
+running minimum; the consistency checks raise RuntimeError.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import compress
 from typing import TYPE_CHECKING
 
-from .core import Bits, parity_vector_of, trajectory
+from .core import Bits, parity_vector_of
 from .ladder import d, kappa, sigma_n
 
 if TYPE_CHECKING:
@@ -40,12 +42,16 @@ class Solution:
 
 
 def _level(v: Bits) -> int:
-    """Validate a vector and return its level n (ones count minus one)."""
+    """Validate a vector and return its level n (ones count minus one).
+    A list is refused: the parity checks compare vectors as tuples."""
+    if not isinstance(v, tuple):
+        raise ValueError(f"vector must be a tuple, got {type(v).__name__}")
     if len(v) < 2 or v[0] != 1 or v[1] != 1:
         raise ValueError(f"vector must start with two 1s, got {v}")
-    if any(b not in (0, 1) for b in v):
+    ones = v.count(1)
+    if ones + v.count(0) != len(v):
         raise ValueError(f"vector must contain only 0s and 1s, got {v}")
-    n = sum(v) - 1
+    n = ones - 1
     if len(v) != kappa(n) + 1:
         raise ValueError(
             f"vector with {n + 1} ones must have length {kappa(n) + 1}, got {len(v)}"
@@ -62,9 +68,8 @@ def alphas(v: Bits) -> tuple[int, ...]:
 def _weighted_sum(v: Bits) -> int:
     # Horner over the ascending one-positions: sum of 3^(n+1-i) * 2^(alpha_i).
     s = 0
-    for a, b in enumerate(v):
-        if b:
-            s = s * 3 + (1 << a)
+    for a in compress(range(len(v)), v):
+        s = s * 3 + (1 << a)
     return s
 
 
@@ -91,7 +96,7 @@ def stopping_term(v: Bits, x: int) -> int:
 
 def solve_vector(v: Bits) -> Solution:
     """The unique odd x in (0, 2^sigma_n) solving the vector's divisibility,
-    with its image y.  One simulated walk T^0(x) .. T^sigma_n(x) must show
+    with its image y.  One in-place walk T^0(x) .. T^sigma_n(x) must show
     the parities v (forced by the congruence), and x is a member when the
     walk first drops below x at step sigma_n."""
     n = _level(v)
@@ -99,11 +104,21 @@ def solve_vector(v: Bits) -> Solution:
     s = _weighted_sum(v)
     x = (-s * inv) % mod
     y, rem = divmod(p3 * x + s, mod)
-    walk = trajectory(x, sig)
-    if rem or tuple([t & 1 for t in walk[: len(v)]]) != v:
+    if rem:
         raise RuntimeError(f"solution {x} does not reproduce the vector {v}")
-    member = walk[sig] < x <= min(walk[1:sig])
-    return Solution(x=x, y=y, vector=v, member=member)
+    # t runs through T^0(x) .. T^sigma_n(x); low is min(T^0 .. T^(sigma_n - 1)).
+    t = low = x
+    for b in v:
+        if t & 1 != b:
+            raise RuntimeError(f"solution {x} does not reproduce the vector {v}")
+        if t < low:
+            low = t
+        t = (3 * t + 1) >> 1 if b else t >> 1
+    for _ in range(sig - len(v)):
+        if t < low:
+            low = t
+        t = (3 * t + 1) >> 1 if t & 1 else t >> 1
+    return Solution(x, y, v, t < x <= low)
 
 
 def check_corollary1(x: int, h: int) -> bool:

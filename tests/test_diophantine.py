@@ -1,10 +1,13 @@
 import dataclasses
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from collatz_stopping import diophantine
 from collatz_stopping.core import parity_vector_of, stopping_time, trajectory
 from collatz_stopping.diophantine import (
+    Solution,
     alphas,
     check_corollary1,
     check_corollary3_delta,
@@ -18,17 +21,50 @@ from collatz_stopping.ladder import d, kappa, sigma_n
 from collatz_stopping.ptree import lex_tuples, trailing_zeros, vset_levels
 
 
-def brute_force_solutions(v):
-    """Independent oracle: scan every odd x below the modulus for the
-    divisibility, with no modular inverse involved."""
-    n = sum(v) - 1
+def weighted_sum(v):
     s = 0
     for i, b in enumerate(v):
         if b:
             s = s * 3 + (1 << i)
+    return s
+
+
+def brute_force_solutions(v):
+    """Independent oracle: scan every odd x below the modulus for the
+    divisibility, with no modular inverse involved."""
+    n = sum(v) - 1
+    s = weighted_sum(v)
     mod = 1 << sigma_n(n)
     p3 = 3 ** (n + 1)
     return [x for x in range(1, mod, 2) if (p3 * x + s) % mod == 0]
+
+
+def reference_solve(v):
+    """The solver built on core.trajectory: the walk T^0(x) .. T^sigma_n(x)
+    as a list, its parity prefix compared with v as a tuple, membership from
+    min() over the intermediate terms.  For well-formed vectors only."""
+    n = sum(v) - 1
+    sig = sigma_n(n)
+    mod = 1 << sig
+    p3 = 3 ** (n + 1)
+    s = weighted_sum(v)
+    x = (-s * pow(p3, -1, mod)) % mod
+    y, rem = divmod(p3 * x + s, mod)
+    walk = trajectory(x, sig)
+    if rem or tuple([t & 1 for t in walk[: len(v)]]) != v:
+        raise RuntimeError(f"solution {x} does not reproduce the vector {v}")
+    member = walk[sig] < x <= min(walk[1:sig])
+    return Solution(x=x, y=y, vector=v, member=member)
+
+
+@st.composite
+def well_formed_vectors(draw):
+    """A vector of level n: two leading 1s, n - 1 more ones placed anywhere
+    in positions 2 .. kappa(n), length kappa(n) + 1."""
+    n = draw(st.integers(min_value=11, max_value=300))
+    k = kappa(n)
+    ones = set(draw(st.permutations(range(2, k + 1)))[: n - 1])
+    return tuple(1 if i < 2 or i in ones else 0 for i in range(k + 1))
 
 
 def test_alphas_examples():
@@ -44,6 +80,14 @@ def test_alphas_rejects_malformed():
         alphas((1, 1, 0, 1, 1, 0))  # wrong length for its ones count
     with pytest.raises(ValueError):
         alphas((1, 1, 2, 1))
+
+
+def test_list_vectors_are_refused_as_malformed():
+    # refused up front: the parity checks compare vectors as tuples, and a
+    # list would read as a solver fault or a prefix mismatch
+    for call in (alphas, solve_vector, lambda v: stopping_term(v, 59)):
+        with pytest.raises(ValueError, match="vector must be a tuple, got list"):
+            call([1, 1, 0, 1, 1])
 
 
 def test_stopping_term_worked_example():
@@ -102,6 +146,7 @@ def test_member_round_trip():
         sig = sigma_n(n)
         for v in lex_tuples(n):
             sol = solve_vector(v)
+            assert sol == reference_solve(v)
             assert parity_vector_of(sol.x, n) == v
             assert sol.member == (stopping_time(sol.x, sig + 1) == sig)
             if sol.member:
@@ -109,13 +154,20 @@ def test_member_round_trip():
                 assert sol.y < sol.x
 
 
-def test_solution_walk_that_misses_the_vector_raises(monkeypatch):
-    def flipped(x, steps):
-        walk = trajectory(x, steps)
-        walk[2] ^= 1
-        return walk
+@settings(max_examples=60, deadline=None)
+@given(well_formed_vectors())
+def test_solver_agrees_with_reference_beyond_one_machine_word(v):
+    sol = solve_vector(v)
+    assert sol == reference_solve(v)
+    sig = sigma_n(sum(v) - 1)
+    assert sol.member == (stopping_time(sol.x, sig + 1) == sig)
 
-    monkeypatch.setattr(diophantine, "trajectory", flipped)
+
+def test_solution_walk_that_misses_the_vector_raises(monkeypatch):
+    # S + 1 still divides exactly (rem is 0) but gives an even x, so only
+    # the walk's parity check at step 0 can catch it
+    weighted = diophantine._weighted_sum
+    monkeypatch.setattr(diophantine, "_weighted_sum", lambda v: weighted(v) + 1)
     with pytest.raises(RuntimeError, match="does not reproduce"):
         solve_vector((1, 1, 0, 1, 1))
 

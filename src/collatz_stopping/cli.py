@@ -17,6 +17,8 @@ from .core import Bits, _refuse_above, stopping_time
 from .diophantine import solve_vector
 from .ladder import d, kappa, ladder_rows, min_surviving_n, sigma_n
 from .ptree import (
+    MAX_RESIDUE_LEVEL,
+    _level_limit,
     export_tree,
     generate_vset,
     leading_ones,
@@ -32,13 +34,8 @@ MAX_LADDER_TERMS = 100_000
 MAX_TRIANGLE_TERMS = 1_000
 MAX_TRIANGLE_GRID = 200  # the padded table grows about as max_n^3 bytes: 3.6 MB here
 MAX_TUPLE_TERMS = 9_000  # ln_count rises with n: term 9,000 has 4,077 digits
-MAX_RESIDUE_LEVEL = 14
 MAX_VERIFY_BITS = 32
 MAX_SOLVE_LEVEL = 9_000  # x < 2 * 3^(n+1): within CPython's 4,300-digit int-to-str limit
-
-
-def _level_limit() -> str:
-    return f"n <= {MAX_RESIDUE_LEVEL} ({tree_node_count(MAX_RESIDUE_LEVEL)} classes)"
 
 
 def _parse_vector(text: str) -> Bits:
@@ -181,7 +178,6 @@ def _cmd_sieve(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    _refuse_above("residue levels are", args.n_max, MAX_RESIDUE_LEVEL, _level_limit)
     ints = lambda: f"--max-bits <= {MAX_VERIFY_BITS} ({2**MAX_VERIFY_BITS - 2} integers)"
     _refuse_above("verify ranges are", args.max_bits, MAX_VERIFY_BITS, ints)
     if args.max_bits < 2:

@@ -154,6 +154,13 @@ def tree_node_count(n: int) -> int:
     return sum(class_counts(n))
 
 
+MAX_RESIDUE_LEVEL = 14  # verify_range's table at this level: 2^sigma_14 bytes, 16 MB
+
+
+def _level_limit() -> str:
+    return f"n <= {MAX_RESIDUE_LEVEL} ({tree_node_count(MAX_RESIDUE_LEVEL)} classes)"
+
+
 def export_tree(n: int, *, with_solutions: bool = False) -> str:
     """Graphviz DOT text of the generation tree over levels 1..n.
 

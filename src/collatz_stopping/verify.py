@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from .core import _refuse_above
 from .diophantine import solve_vector
 from .ladder import kappa, sigma_n
-from .ptree import generate_vset, vset_levels
+from . import ptree
 from .triangle import survivor_counts
 
 SIEVE_MAX_DEPTH = 26
@@ -90,7 +90,7 @@ def _solved_residues(n: int, entries) -> tuple[int, ...]:
 def level_residues(n: int) -> tuple[int, ...]:
     """Ascending residues (mod 2^sigma_n) of the level-n classes: the tree's
     level-n vectors, each solved."""
-    return _solved_residues(n, generate_vset(n))
+    return _solved_residues(n, ptree.generate_vset(n))
 
 
 def residue_table(n_max: int) -> list[ResidueBlock]:
@@ -98,7 +98,7 @@ def residue_table(n_max: int) -> list[ResidueBlock]:
     ascending solved class list of each level n = 1..n_max."""
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
-    levels = vset_levels(n_max)
+    levels = ptree.vset_levels(n_max)
     return [
         ResidueBlock(sigma=1, n=None, residues=(0,)),
         ResidueBlock(sigma=2, n=None, residues=(1,)),
@@ -130,52 +130,52 @@ class VerificationReport:
         return not self.mismatches
 
 
-Classes = list[tuple[int, int, frozenset]]
-
 BLOCK_SIZE = 1 << 16  # the fewest integers a worker process is started for
 
 
-def _prediction_classes(n_max: int) -> Classes:
-    """(sigma, 2^sigma - 1, residues) for each block of residue_table(n_max),
-    ascending by sigma, checked pairwise disjoint: x lies in at most one."""
-    classes = [
-        (b.sigma, b.modulus - 1, frozenset(b.residues)) for b in residue_table(n_max)
-    ]
-    for i, (sig, _, members) in enumerate(classes):
-        for low_sig, low_mask, low_members in classes[:i]:
-            for r in members:
-                if r & low_mask in low_members:
-                    raise RuntimeError(
-                        f"class {r} (mod 2^{sig}) lies inside class "
-                        f"{r & low_mask} (mod 2^{low_sig})"
-                    )
-    return classes
+def _prediction_table(n_max: int) -> bytearray:
+    """table[r] is the sigma of the block of residue_table(n_max) holding
+    r (mod 2^top), top the last block's sigma, or 0 when none does.
+
+    Built in ascending sigma by repeating the table up to each block's
+    modulus, so a residue whose byte is already set lies inside a lower
+    class: the blocks are checked disjoint, one lookup per residue.
+    """
+    table, prev = bytearray(1), 0
+    for block in residue_table(n_max):
+        table *= 1 << (block.sigma - prev)
+        prev = block.sigma
+        for r in block.residues:
+            if low := table[r]:
+                raise RuntimeError(
+                    f"class {r} (mod 2^{prev}) lies inside class "
+                    f"{r & ((1 << low) - 1)} (mod 2^{low})"
+                )
+            table[r] = prev
+    return table
 
 
-def _scan_block(lo: int, hi: int, classes: Classes) -> tuple:
-    counts: dict[int | None, int] = {}  # None: beyond the table
+def _scan_block(lo: int, hi: int, table: bytearray) -> tuple:
+    mask = len(table) - 1
+    budget = len(table).bit_length()  # one step past the table's last sigma
+    steps = range(1, budget + 1)
+    counts = [0] * (budget + 1)  # by simulated stopping time, 0: no stop
     mismatches = []
-    budget = classes[-1][0] + 1
     for x in range(lo, hi):
         t = x
-        simulated = None
-        for s in range(1, budget + 1):
-            t = t // 2 if t % 2 == 0 else (3 * t + 1) // 2
+        for s in steps:
+            t = (3 * t + 1) >> 1 if t & 1 else t >> 1
             if t < x:
-                simulated = s
-                break
-        # the classes are disjoint, so the first one holding x is its only one
-        for predicted, mask, members in classes:
-            if x & mask in members:
                 break
         else:
-            predicted = None
+            s = 0
+        predicted = table[x & mask]
         # a stop one step past the table is beyond it, like no stop at all
-        observed = None if simulated == budget else simulated
-        if predicted != observed:
-            mismatches.append((x, predicted, simulated))
-        counts[observed] = counts.get(observed, 0) + 1
-    return counts, mismatches
+        if predicted != s and (predicted or s != budget):
+            mismatches.append((x, predicted or None, s or None))
+        counts[s] += 1
+    counts[0] += counts.pop()
+    return {s or None: c for s, c in enumerate(counts) if c}, mismatches
 
 
 def verify_range(
@@ -184,10 +184,13 @@ def verify_range(
     """Check every x in [x_lo, x_hi): its simulated stopping time must place
     it in exactly the predicted class of residue_table(n_max).
 
-    Simulation runs with budget sigma_n(n_max) + 1; x that do not stop within
-    the table horizon are counted as beyond_table, not as mismatches (they
-    must then lie in no class at all).  The range is scanned in one call, or
-    cut into one contiguous share per worker process, at most
+    Levels above ptree.MAX_RESIDUE_LEVEL (read per call) are refused before
+    anything is built.  The prediction is one byte per residue
+    (mod 2^sigma_n(n_max)): 64 KB at n_max 9, 16 MB at n_max 14.  Simulation
+    runs with budget sigma_n(n_max) + 1; x that do not stop within the table
+    horizon are counted as beyond_table, not as mismatches (they must then
+    lie in no class at all).  The range is scanned in one call, or cut into
+    one contiguous share per worker process, at most
     min(jobs, ceil(width / BLOCK_SIZE), CPUs) of them; shares are merged in
     ascending order, so the report is identical for every jobs setting.
     """
@@ -197,20 +200,21 @@ def verify_range(
         raise ValueError(f"need x_lo <= x_hi, got {x_lo}..{x_hi}")
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
+    _refuse_above("residue levels are", n_max, ptree.MAX_RESIDUE_LEVEL, ptree._level_limit)
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
-    classes = _prediction_classes(n_max)
+    table = _prediction_table(n_max)
     # the pool starts all max_workers processes at the first submit
     workers = min(jobs, len(range(x_lo, x_hi, BLOCK_SIZE)), os.cpu_count() or 1)
     if workers <= 1:
-        results = [_scan_block(x_lo, x_hi, classes)]
+        results = [_scan_block(x_lo, x_hi, table)]
     else:
         # imported here: it loads multiprocessing, which no other path needs
         from concurrent.futures import ProcessPoolExecutor
 
         cuts = [x_lo + (x_hi - x_lo) * i // workers for i in range(workers + 1)]
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_scan_block, cuts[:-1], cuts[1:], [classes] * workers))
+            results = list(pool.map(_scan_block, cuts[:-1], cuts[1:], [table] * workers))
     counts: dict[int | None, int] = {}
     mismatches: list[tuple[int, int | None, int | None]] = []
     for share_counts, share_mism in results:

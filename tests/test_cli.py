@@ -294,6 +294,11 @@ _REFUSED_BEFORE_BUILDING = {
         "verify ranges are bounded at --max-bits <= 32 (4294967294 integers); "
         "requested 33"
     ),
+    # the range bound is checked first, then verify_range checks the level
+    ("verify", "--max-bits", "33", "--n-max", "20"): (
+        "verify ranges are bounded at --max-bits <= 32 (4294967294 integers); "
+        "requested 33"
+    ),
     ("vset", "15"): f"{_LEVELS}; requested 15",
     ("tuples", "15"): (
         "candidate tuples are bounded at n <= 14 (203490 tuples); requested 15"

@@ -4,8 +4,60 @@ from hypothesis import strategies as st
 
 from collatz_stopping.core import forward_map, stopping_time
 from collatz_stopping.ladder import kappa, sigma_n
-from collatz_stopping.triangle import build_triangle, w, z_from_triangle
-from collatz_stopping.verify import level_residues, residue_table, sieve, verify_range
+from collatz_stopping.triangle import build_triangle, class_counts, w, z_from_triangle
+from collatz_stopping.verify import (
+    VerificationReport,
+    level_residues,
+    residue_table,
+    sieve,
+    verify_range,
+)
+
+
+def reference_classes(n_max):
+    """(sigma, 2^sigma - 1, residues) for each block of residue_table(n_max)."""
+    return [(b.sigma, b.modulus - 1, frozenset(b.residues)) for b in residue_table(n_max)]
+
+
+def reference_scan(lo, hi, classes):
+    """The scan as first written: a %-and-// walk, then a loop over the
+    classes for the first one holding x.  An oracle for verify._scan_block."""
+    counts = {}  # None: beyond the table
+    mismatches = []
+    budget = classes[-1][0] + 1
+    for x in range(lo, hi):
+        t = x
+        simulated = None
+        for s in range(1, budget + 1):
+            t = t // 2 if t % 2 == 0 else (3 * t + 1) // 2
+            if t < x:
+                simulated = s
+                break
+        for predicted, mask, members in classes:
+            if x & mask in members:
+                break
+        else:
+            predicted = None
+        # a stop one step past the table is beyond it, like no stop at all
+        observed = None if simulated == budget else simulated
+        if predicted != observed:
+            mismatches.append((x, predicted, simulated))
+        counts[observed] = counts.get(observed, 0) + 1
+    return counts, mismatches
+
+
+def reference_report(lo, hi, n_max):
+    """verify_range's report assembled from one reference_scan."""
+    counts, mismatches = reference_scan(lo, hi, reference_classes(n_max))
+    beyond = counts.pop(None, 0)
+    return VerificationReport(
+        x_lo=lo,
+        x_hi=hi,
+        n_max=n_max,
+        counts=dict(sorted(counts.items())),
+        beyond_table=beyond,
+        mismatches=tuple(mismatches),
+    )
 
 
 def test_sieve_seed():
@@ -106,7 +158,7 @@ def test_residue_table_matches_fixture(residue_classes):
 def test_sieve_cutoffs_reproduce_residue_table():
     """Residues leaving the sieve at depth sigma_n are exactly the level-n
     classes: the doubling construction and the tree/solver route agree."""
-    expected = {b.sigma: set(b.residues) for b in residue_table(7) if b.n is not None}
+    expected = {b.sigma: set(b.residues) for b in residue_table(12) if b.n is not None}
     max_sigma = max(expected)
     cut = {}
     for k in range(3, max_sigma + 1):
@@ -208,6 +260,72 @@ def test_verify_range_refuses_overlapping_classes(monkeypatch):
         verify_range(2, 200, 4)
 
 
+def test_verify_range_refuses_a_class_inside_a_trivial_block(monkeypatch):
+    # 4 (mod 32) is even: it lies inside the trivial class 0 (mod 2)
+    _forge_level(monkeypatch, 2, lambda rs: rs | {4})
+    with pytest.raises(RuntimeError) as refused:
+        verify_range(2, 200, 4)
+    assert str(refused.value) == "class 4 (mod 2^5) lies inside class 0 (mod 2^1)"
+
+
+@pytest.mark.parametrize("n_max", range(1, 13))
+def test_prediction_table_holds_each_level_its_triangle_share(n_max):
+    from collatz_stopping import verify
+
+    table = verify._prediction_table(n_max)
+    top = sigma_n(n_max)
+    assert len(table) == 2**top
+    # one byte per residue (mod 2^top): a class mod 2^sigma fills 2^(top - sigma)
+    assert table.count(1) == 1 << (top - 1) and table.count(2) == 1 << (top - 2)
+    for n, z in enumerate(class_counts(n_max), start=1):
+        assert table.count(sigma_n(n)) == z << (top - sigma_n(n))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    lo=st.integers(2, (1 << 40) - 1),
+    width=st.integers(0, 1 << 12),
+    n_max=st.integers(1, 9),
+)
+def test_verify_range_agrees_with_the_reference_scan(lo, width, n_max):
+    assert verify_range(lo, lo + width, n_max) == reference_report(lo, lo + width, n_max)
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize(
+    "edit, hi, n_max",
+    [(lambda rs: rs - {23}, 200, 4), (lambda rs: rs | {7}, 300, 2)],
+    ids=["23-dropped", "7-added"],
+)
+def test_forged_tables_agree_with_the_reference_scan(monkeypatch, jobs, edit, hi, n_max):
+    from collatz_stopping import verify
+
+    _forge_level(monkeypatch, 2, edit)
+    pools = _in_process_pool(monkeypatch, 2)
+    monkeypatch.setattr(verify, "BLOCK_SIZE", 64)
+    report = verify_range(2, hi, n_max, jobs=jobs)
+    expected = reference_report(2, hi, n_max)
+    assert len(pools) == jobs - 1
+    assert report.mismatches and report.mismatches == expected.mismatches
+    assert report == expected
+
+
+def test_verify_range_refuses_levels_above_the_bound_before_building(monkeypatch):
+    from collatz_stopping import ptree, verify
+
+    monkeypatch.setattr(verify, "residue_table", lambda n: pytest.fail("table built"))
+    with pytest.raises(ValueError) as refused:
+        verify_range(2, 10, 15)
+    assert str(refused.value) == (
+        "residue levels are bounded at n <= 14 (81117 classes); requested 15"
+    )
+    # the bound is read per call; levels 1..5 hold 1 + 2 + 3 + 7 + 12 classes
+    monkeypatch.setattr(ptree, "MAX_RESIDUE_LEVEL", 5)
+    refusal = r"^residue levels are bounded at n <= 5 \(25 classes\); requested 6$"
+    with pytest.raises(ValueError, match=refusal):
+        verify_range(2, 10, 6)
+
+
 @settings(max_examples=40, deadline=None)
 @given(n_max=st.integers(1, 7), m=st.integers(1, 1 << 40))
 def test_aligned_window_holds_every_class_its_share(n_max, m):
@@ -243,7 +361,7 @@ def test_verify_range_one_worker_scans_the_range_in_one_call(monkeypatch):
 
     scanned = []
 
-    def scan(lo, hi, classes):
+    def scan(lo, hi, table):
         scanned.append((lo, hi))
         return {None: hi - lo}, []
 

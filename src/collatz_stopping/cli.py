@@ -48,8 +48,12 @@ def _parse_vector(text: str) -> Bits:
     return bits
 
 
+_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+
+
 def _bits_str(bits: Bits) -> str:
-    return ",".join(map(str, bits))
+    # one C-level pass per vector; callers pass 0/1 vectors only
+    return ",".join(bytes(bits).translate(_DIGITS).decode())
 
 
 def _cmd_sigma(args) -> int:
@@ -71,9 +75,10 @@ def _cmd_ladder(args) -> int:
         for row in rows:
             writer.writerow([row.n, row.d, row.kappa, row.sigma])
     else:
-        print(f"{'n':>6} {'d':>3} {'kappa':>8} {'sigma':>8}")
+        write = sys.stdout.write
+        write(f"{'n':>6} {'d':>3} {'kappa':>8} {'sigma':>8}\n")
         for row in rows:
-            print(f"{row.n:>6} {row.d:>3} {row.kappa:>8} {row.sigma:>8}")
+            write(f"{row.n:>6} {row.d:>3} {row.kappa:>8} {row.sigma:>8}\n")
     return 0
 
 
@@ -122,23 +127,24 @@ def _cmd_vset(args) -> int:
                 row += [solutions[i].x, solutions[i].y]
             writer.writerow(row)
         return 0
+    write = sys.stdout.write
     for i, e in enumerate(entries):
         line = f"{_bits_str(e.vector)} {e.h} {e.p}"
         if solutions:
             line += f" {solutions[i].x} {solutions[i].y}"
-        print(line)
+        write(line + "\n")
     return 0
 
 
 def _cmd_tuples(args) -> int:
-    tuples = lambda: f"n <= {MAX_RESIDUE_LEVEL} ({ln_count(MAX_RESIDUE_LEVEL)} tuples)"
-    _refuse_above("candidate tuples are", args.n, MAX_RESIDUE_LEVEL, tuples)
+    tuples = lex_tuples(args.n)  # refuses levels above MAX_RESIDUE_LEVEL
     sig = sigma_n(args.n)
-    for rank, vec in enumerate(lex_tuples(args.n), start=1):
-        sol = solve_vector(vec)
-        member = "true" if sol.member else "false"
-        print(f"{rank:>4} {_bits_str(vec)} x={sol.x} y={sol.y} member={member}")
-    print(f"# {ln_count(args.n)} tuples, modulus 2^{sig}")
+    write = sys.stdout.write
+    for rank, vec in enumerate(tuples, start=1):
+        x, y, _, is_member = solve_vector(vec)
+        member = "true" if is_member else "false"
+        write(f"{rank:>4} {_bits_str(vec)} x={x} y={y} member={member}\n")
+    write(f"# {ln_count(args.n)} tuples, modulus 2^{sig}\n")
     return 0
 
 
@@ -171,9 +177,10 @@ def _cmd_sieve(args) -> int:
             writer.writerow([rec.r, rec.k, rec.q, rec.n, rec.surviving])
         return 0
     survivors = [rec for rec in records if rec.surviving]
+    write = sys.stdout.write
     for i, rec in enumerate(survivors, start=1):
-        print(f"{i:>6} | {rec.r} (mod 2^{rec.k}) -> {rec.q} (mod 3^{rec.n})")
-    print(f"# w({args.k}) = {len(survivors)}")
+        write(f"{i:>6} | {rec.r} (mod 2^{rec.k}) -> {rec.q} (mod 3^{rec.n})\n")
+    write(f"# w({args.k}) = {len(survivors)}\n")
     return 0
 
 

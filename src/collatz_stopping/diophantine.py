@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import compress
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .core import Bits, parity_vector_of
 from .ladder import d, kappa, sigma_n
@@ -26,13 +26,13 @@ if TYPE_CHECKING:
     from .ptree import VSetEntry
 
 
-@dataclass(frozen=True)
-class Solution:
+class Solution(NamedTuple):
     """The unique in-range solution of one vector's divisibility condition.
 
     member is True when x really has stopping time sigma_n, decided by
     simulating its trajectory; candidate tuples outside the level set solve
-    the same kind of equation but stop earlier.
+    the same kind of equation but stop earlier.  Immutable and hashable; a
+    NamedTuple because one is built per solve.
     """
 
     x: int

@@ -131,10 +131,13 @@ def lex_tuples(n: int) -> list[Bits]:
     1s followed by each arrangement of (kappa(n)-n) zeros and (n-1) ones.
 
     Enumerating the zero positions with combinations() yields the bit tuples
-    in ascending lexicographic order directly.
+    in ascending lexicographic order directly.  Levels above
+    MAX_RESIDUE_LEVEL (read per call) are refused before anything is built.
     """
     if n < 1:
         raise ValueError(f"level must be >= 1, got {n}")
+    tuples = lambda: f"n <= {MAX_RESIDUE_LEVEL} ({ln_count(MAX_RESIDUE_LEVEL)} tuples)"
+    _refuse_above("candidate tuples are", n, MAX_RESIDUE_LEVEL, tuples)
     m = kappa(n) - 1
     zeros = kappa(n) - n
     out = []

@@ -1,10 +1,17 @@
+import io
 import subprocess
 import sys
+from contextlib import redirect_stdout
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from collatz_stopping.cli import SEQUENCES, main
-from collatz_stopping.ladder import kappa
+from collatz_stopping.cli import SEQUENCES, _bits_str, main
+from collatz_stopping.diophantine import solve_vector
+from collatz_stopping.ladder import kappa, ladder_rows, sigma_n
+from collatz_stopping.ptree import generate_vset, lex_tuples, ln_count
+from collatz_stopping.verify import sieve
 
 
 @pytest.fixture
@@ -397,3 +404,82 @@ def test_oeis_residues_stop_at_the_completing_level(run_cli):
     code, out, _ = run_cli("oeis", "A177789", "--terms", "313")
     assert code == 0 and len(out.split()) == 313
     assert cache.cache_info().currsize == 8
+
+
+# The listings as they were once written: one print() per line and each
+# vector formatted by ",".join(map(str, v)).  The CLI must match them byte
+# for byte.
+
+
+def _printed(emit, *args):
+    buf = io.StringIO()
+    with redirect_stdout(buf):
+        emit(*args)
+    return buf.getvalue()
+
+
+def _tuples_by_print(n):
+    sig = sigma_n(n)
+    for rank, vec in enumerate(lex_tuples(n), start=1):
+        sol = solve_vector(vec)
+        member = "true" if sol.member else "false"
+        print(f"{rank:>4} {','.join(map(str, vec))} x={sol.x} y={sol.y} member={member}")
+    print(f"# {ln_count(n)} tuples, modulus 2^{sig}")
+
+
+def _vset_with_solutions_by_print(n):
+    for e in generate_vset(n):
+        sol = solve_vector(e.vector)
+        print(f"{','.join(map(str, e.vector))} {e.h} {e.p} {sol.x} {sol.y}")
+
+
+def _sieve_by_print(k):
+    survivors = [rec for rec in sieve(k) if rec.surviving]
+    for i, rec in enumerate(survivors, start=1):
+        print(f"{i:>6} | {rec.r} (mod 2^{rec.k}) -> {rec.q} (mod 3^{rec.n})")
+    print(f"# w({k}) = {len(survivors)}")
+
+
+def _ladder_by_print(max_n):
+    print(f"{'n':>6} {'d':>3} {'kappa':>8} {'sigma':>8}")
+    for row in ladder_rows(max_n):
+        print(f"{row.n:>6} {row.d:>3} {row.kappa:>8} {row.sigma:>8}")
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_tuples_and_vset_match_the_print_listing(run_cli, n):
+    assert run_cli("tuples", str(n)) == (0, _printed(_tuples_by_print, n), "")
+    expected = _printed(_vset_with_solutions_by_print, n)
+    assert run_cli("vset", str(n), "--with-solutions") == (0, expected, "")
+
+
+def test_sieve_and_ladder_match_the_print_listing(run_cli):
+    assert run_cli("sieve", "--k", "16") == (0, _printed(_sieve_by_print, 16), "")
+    assert run_cli("ladder", "--max-n", "300") == (0, _printed(_ladder_by_print, 300), "")
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(0, 1), min_size=2, max_size=400).map(tuple))
+def test_bits_str_joins_the_digits(bits):
+    assert _bits_str(bits) == ",".join(map(str, bits))
+
+
+@pytest.mark.parametrize("n", [5, 9])
+def test_tuples_solves_each_candidate_once(run_cli, monkeypatch, n):
+    # the benchmark's traced member_ratio divides by these solve_vector calls
+    from collatz_stopping import cli
+
+    calls = {"solve_vector": 0, "lex_tuples": 0}
+
+    def counting(name, real):
+        def spy(*args):
+            calls[name] += 1
+            return real(*args)
+
+        return spy
+
+    for name in calls:
+        monkeypatch.setattr(cli, name, counting(name, getattr(cli, name)))
+    code, _, _ = run_cli("tuples", str(n))
+    assert code == 0
+    assert calls == {"solve_vector": ln_count(n), "lex_tuples": 1}

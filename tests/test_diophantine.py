@@ -1,5 +1,3 @@
-import dataclasses
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -187,7 +185,7 @@ def test_lambda_step_examples():
 def test_lambda_step_disagreeing_with_solver_raises(monkeypatch):
     def off_by_two(v):
         sol = solve_vector(v)
-        return dataclasses.replace(sol, x=sol.x + 2)
+        return sol._replace(x=sol.x + 2)
 
     monkeypatch.setattr(diophantine, "solve_vector", off_by_two)
     with pytest.raises(RuntimeError, match="solver gives"):
@@ -297,6 +295,20 @@ def test_check_corollary4_examples():
         assert solutions[idx].x == expected_pair[0]
         assert solutions[-1].x == expected_pair[1]
         assert check_corollary4(entries, solutions)
+
+
+def test_solution_keeps_value_semantics():
+    sol = solve_vector((1, 1, 0, 1, 1))
+    with pytest.raises(AttributeError):
+        sol.x = 1
+    again = solve_vector((1, 1, 0, 1, 1))
+    assert again == sol and hash(again) == hash(sol) and len({sol, again}) == 1
+    # the README line
+    assert repr(sol) == "Solution(x=59, y=38, vector=(1, 1, 0, 1, 1), member=True)"
+    entries = vset_levels(5)[5]
+    solutions = [solve_vector(e.vector) for e in entries]
+    assert all(type(s) is Solution for s in solutions)
+    assert check_corollary4(entries, solutions)
 
 
 def test_check_corollary4_rejects_level_without_closing_entry():

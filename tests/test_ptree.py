@@ -124,6 +124,21 @@ def test_lex_tuples_are_sorted_and_counted():
         assert len(tuples) == len(set(tuples)) == ln_count(n)
 
 
+def test_lex_tuples_refuses_levels_above_the_bound(monkeypatch):
+    from collatz_stopping import ptree
+
+    limit = "candidate tuples are bounded at n <= 14 (203490 tuples); requested "
+    for n in (15, 40_000):
+        with pytest.raises(ValueError) as refused:
+            lex_tuples(n)
+        assert str(refused.value) == f"{limit}{n}"
+    # the bound is read per call
+    monkeypatch.setattr(ptree, "MAX_RESIDUE_LEVEL", 4)
+    with pytest.raises(ValueError, match=r"n <= 4 \(10 tuples\); requested 5$"):
+        lex_tuples(5)
+    assert len(lex_tuples(4)) == 10
+
+
 def test_ln_count_examples(oeis_expected):
     assert ln_count(5) == 15
     assert ln_count(11) == 8008

@@ -13,25 +13,16 @@ import sys
 from itertools import chain, islice
 from typing import Callable, NamedTuple
 
-from .core import Bits, _refuse_above, stopping_time
+from . import ladder, ptree, triangle
+from .core import Bits, stopping_time
 from .diophantine import solve_vector
-from .ladder import d, kappa, ladder_rows, min_surviving_n, sigma_n
-from .ptree import (
-    MAX_RESIDUE_LEVEL,
-    _level_limit,
-    export_tree,
-    generate_vset,
-    leading_ones,
-    lex_tuples,
-    ln_count,
-    tree_node_count,
-)
+from .ladder import _refuse_above, d, kappa, ladder_rows, min_surviving_n, sigma_n
+from .ptree import export_tree, generate_vset, leading_ones, lex_tuples, ln_count, tree_node_count
 from .triangle import build_triangle, class_counts, survivor_counts, w, z_from_triangle
 from .verify import level_residues, sieve, verify_range
 
-# Size bounds; _refuse_above turns any request past one into exit code 2.
-MAX_LADDER_TERMS = 100_000
-MAX_TRIANGLE_TERMS = 1_000
+# Bounds on what the CLI prints or shifts; the library refuses every other
+# oversized request where it allocates.  Any ValueError exits with code 2.
 MAX_TRIANGLE_GRID = 200  # the padded table grows about as max_n^3 bytes: 3.6 MB here
 MAX_TUPLE_TERMS = 9_000  # ln_count rises with n: term 9,000 has 4,077 digits
 MAX_VERIFY_BITS = 32
@@ -66,8 +57,6 @@ def _cmd_sigma(args) -> int:
 
 
 def _cmd_ladder(args) -> int:
-    rows_limit = lambda: f"--max-n <= {MAX_LADDER_TERMS}"
-    _refuse_above("ladder rows are", args.max_n, MAX_LADDER_TERMS, rows_limit)
     rows = ladder_rows(args.max_n)
     if args.format == "csv":
         writer = csv.writer(sys.stdout)
@@ -83,8 +72,9 @@ def _cmd_ladder(args) -> int:
 
 
 def _cmd_triangle(args) -> int:
-    bound = MAX_TRIANGLE_TERMS if args.format == "csv" else MAX_TRIANGLE_GRID
-    _refuse_above("triangle columns are", args.max_n, bound, lambda: f"--max-n <= {bound}")
+    if args.format == "table":
+        grid = lambda: f"--max-n <= {MAX_TRIANGLE_GRID}"
+        _refuse_above("triangle columns are", args.max_n, MAX_TRIANGLE_GRID, grid)
     table = build_triangle(args.max_n)
     if args.format == "csv":
         writer = csv.writer(sys.stdout)
@@ -110,7 +100,6 @@ def _cmd_triangle(args) -> int:
 
 
 def _cmd_vset(args) -> int:
-    _refuse_above("residue levels are", args.n, MAX_RESIDUE_LEVEL, _level_limit)
     if args.format == "dot":
         sys.stdout.write(export_tree(args.n, with_solutions=args.with_solutions))
         return 0
@@ -137,7 +126,7 @@ def _cmd_vset(args) -> int:
 
 
 def _cmd_tuples(args) -> int:
-    tuples = lex_tuples(args.n)  # refuses levels above MAX_RESIDUE_LEVEL
+    tuples = lex_tuples(args.n)  # refuses levels above ptree.MAX_RESIDUE_LEVEL
     sig = sigma_n(args.n)
     write = sys.stdout.write
     for rank, vec in enumerate(tuples, start=1):
@@ -160,7 +149,6 @@ def _cmd_solve(args) -> int:
 
 def _cmd_residues(args) -> int:
     n = args.sigma_index
-    _refuse_above("residue levels are", n, MAX_RESIDUE_LEVEL, _level_limit)
     xs = level_residues(n)
     sig = sigma_n(n)
     print(f"sigma(x) = {sig}")
@@ -204,7 +192,7 @@ class OeisSequence(NamedTuple):
     bound: Callable[[], int]  # called per request, so no triangle is built at import
     first: int  # index of the first b-file line
     produce: Callable[[int], list[int]]  # the first `terms` values
-    limit: str = "{} terms"  # the bound as a refusal states it
+    limit: Callable[[int], str] = "{} terms".format  # the bound as a refusal states it
 
 
 def _each_n(f: Callable[[int], int]) -> Callable[[int], list[int]]:
@@ -213,22 +201,24 @@ def _each_n(f: Callable[[int], int]) -> Callable[[int], list[int]]:
 
 def _residue_terms(terms: int) -> list[int]:
     # level by level: the levels past the one completing `terms` are never built
-    levels = map(level_residues, range(1, MAX_RESIDUE_LEVEL + 1))
+    levels = map(level_residues, range(1, ptree.MAX_RESIDUE_LEVEL + 1))
     return list(islice(chain.from_iterable(levels), terms))
 
 
 SEQUENCES = {
-    "A020914": OeisSequence(lambda: MAX_LADDER_TERMS, 1, _each_n(sigma_n)),
-    "A020915": OeisSequence(lambda: MAX_LADDER_TERMS, 1, _each_n(min_surviving_n)),
-    "A022921": OeisSequence(lambda: MAX_LADDER_TERMS, 1, _each_n(d)),
-    "A056576": OeisSequence(lambda: MAX_LADDER_TERMS, 1, _each_n(kappa)),
-    "A076227": OeisSequence(lambda: MAX_TRIANGLE_TERMS, 2, lambda t: survivor_counts(t + 1)),
-    "A100982": OeisSequence(lambda: MAX_TRIANGLE_TERMS, 1, class_counts),
+    "A020914": OeisSequence(lambda: ladder.MAX_LADDER_TERMS, 1, _each_n(sigma_n)),
+    "A020915": OeisSequence(lambda: ladder.MAX_LADDER_TERMS, 1, _each_n(min_surviving_n)),
+    "A022921": OeisSequence(lambda: ladder.MAX_LADDER_TERMS, 1, _each_n(d)),
+    "A056576": OeisSequence(lambda: ladder.MAX_LADDER_TERMS, 1, _each_n(kappa)),
+    "A076227": OeisSequence(
+        lambda: triangle.MAX_TRIANGLE_TERMS, 2, lambda t: survivor_counts(t + 1)
+    ),
+    "A100982": OeisSequence(lambda: triangle.MAX_TRIANGLE_TERMS, 1, class_counts),
     "A177789": OeisSequence(  # one term per tree node
-        lambda: tree_node_count(MAX_RESIDUE_LEVEL),
+        lambda: tree_node_count(ptree.MAX_RESIDUE_LEVEL),
         1,
         _residue_terms,
-        f"levels n <= {MAX_RESIDUE_LEVEL} ({{}} terms)",
+        lambda bound: f"levels n <= {ptree.MAX_RESIDUE_LEVEL} ({bound} terms)",
     ),
     "A293308": OeisSequence(lambda: MAX_TUPLE_TERMS, 1, _each_n(ln_count)),
 }
@@ -239,7 +229,7 @@ def _oeis_terms(seq: str, terms: int) -> list[int]:
     if spec is None:
         raise ValueError(f"unknown sequence {seq}")
     bound = spec.bound()
-    _refuse_above(f"{seq} emission is", terms, bound, lambda: spec.limit.format(bound))
+    _refuse_above(f"{seq} emission is", terms, bound, lambda: spec.limit(bound))
     return spec.produce(terms)
 
 

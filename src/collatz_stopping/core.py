@@ -2,24 +2,13 @@
 
 All functions are pure and use Python's arbitrary-precision integers, so
 there is no overflow at any input size and concurrent calls are safe.
-The one size refusal that every bounded entry point calls lives here too.
 """
 
 from __future__ import annotations
 
-from typing import Callable
-
 from .ladder import kappa
 
 Bits = tuple[int, ...]
-
-
-def _refuse_above(what: str, request: int, bound: int, limit: Callable[[], str]) -> None:
-    """Raise ValueError when request > bound, stating the bound as limit()
-    and then the request.  The bound is fixed before the call, so a refusal
-    costs the same whatever was requested; limit() runs only when refusing."""
-    if request > bound:
-        raise ValueError(f"{what} bounded at {limit()}; requested {request}")
 
 
 def t_step(x: int) -> int:

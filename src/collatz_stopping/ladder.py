@@ -2,7 +2,9 @@
 
 Everything here compares powers of 2 and 3 as big integers.  Floating-point
 logarithms are never used: near n = 40 the operands leave the double range
-and floor(n * log2(3)) computed in doubles starts to drift.
+and floor(n * log2(3)) computed in doubles starts to drift.  The one size
+refusal, `_refuse_above`, lives here because this module imports no other
+module of the package.
 """
 
 from __future__ import annotations
@@ -10,6 +12,17 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Callable
+
+MAX_LADDER_TERMS = 100_000
+
+
+def _refuse_above(what: str, request: int, bound: int, limit: Callable[[], str]) -> None:
+    """Raise ValueError when request > bound, stating the bound as limit()
+    and then the request.  The bound is fixed before the call, so a refusal
+    costs the same whatever was requested; limit() runs only when refusing."""
+    if request > bound:
+        raise ValueError(f"{what} bounded at {limit()}; requested {request}")
 
 
 @dataclass(frozen=True)
@@ -76,7 +89,8 @@ def min_surviving_n(k: int) -> int:
 
 
 def ladder_rows(max_n: int) -> list[LadderRow]:
-    """Rows (n, d(n), kappa(n), sigma_n(n)) for n = 1..max_n."""
+    """Rows (n, d(n), kappa(n), sigma_n(n)) for n = 1..max_n <= MAX_LADDER_TERMS."""
     if max_n < 1:
         raise ValueError(f"max_n must be >= 1, got {max_n}")
+    _refuse_above("ladder rows are", max_n, MAX_LADDER_TERMS, lambda: f"n <= {MAX_LADDER_TERMS}")
     return [LadderRow(n, d(n), kappa(n), sigma_n(n)) for n in range(1, max_n + 1)]

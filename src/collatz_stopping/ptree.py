@@ -11,7 +11,8 @@ order the construction emits vectors:
           all zeros has been emitted.
 
 Emission order is the contract: per-h ranks p, the candidate-tuple ordering
-and the residue recurrences all refer to it.
+and the residue recurrences all refer to it.  Every public reader refuses
+levels above MAX_RESIDUE_LEVEL (read per call) before it builds one.
 """
 
 from __future__ import annotations
@@ -21,10 +22,23 @@ from functools import lru_cache
 from itertools import combinations
 from math import comb
 
-from .core import Bits, _refuse_above
+from .core import Bits
 from .diophantine import solve_vector
-from .ladder import d, kappa
+from .ladder import _refuse_above, d, kappa
 from .triangle import class_counts
+
+MAX_RESIDUE_LEVEL = 14  # verify_range's table at this level: 2^sigma_14 bytes, 16 MB
+
+
+def _level_limit() -> str:
+    return f"n <= {MAX_RESIDUE_LEVEL} ({tree_node_count(MAX_RESIDUE_LEVEL)} classes)"
+
+
+def _check_level(n: int, what: str = "residue levels are", limit=_level_limit) -> None:
+    """Refuse a level below 1 or above MAX_RESIDUE_LEVEL, stated by limit()."""
+    if n < 1:
+        raise ValueError(f"level must be >= 1, got {n}")
+    _refuse_above(what, n, MAX_RESIDUE_LEVEL, limit)
 
 
 @dataclass(frozen=True)
@@ -94,25 +108,24 @@ def _extend_level(prev: tuple[VSetEntry, ...], n: int) -> tuple[VSetEntry, ...]:
 @lru_cache(maxsize=None)
 def _built_level(n: int) -> tuple[VSetEntry, ...]:
     """Level n, extended from level n-1 once per process and kept."""
-    if n < 1:
-        raise ValueError(f"level must be >= 1, got {n}")
     return (ROOT,) if n == 1 else _extend_level(_built_level(n - 1), n)
 
 
 def vset_levels(n_max: int) -> dict[int, list[VSetEntry]]:
     """Levels 1..n_max, each in emission order."""
-    if n_max < 1:
-        raise ValueError(f"level must be >= 1, got {n_max}")
+    _check_level(n_max)
     return {n: list(_built_level(n)) for n in range(1, n_max + 1)}
 
 
 def generate_vset(n: int) -> list[VSetEntry]:
     """The level-n vector set in emission order."""
+    _check_level(n)
     return list(_built_level(n))
 
 
 def phn_counts(n: int) -> dict[int, int]:
     """Histogram of leading-ones counts h over the level-n set."""
+    _check_level(n)
     counts: dict[int, int] = {}
     for entry in _built_level(n):
         counts[entry.h] = counts.get(entry.h, 0) + 1
@@ -131,13 +144,11 @@ def lex_tuples(n: int) -> list[Bits]:
     1s followed by each arrangement of (kappa(n)-n) zeros and (n-1) ones.
 
     Enumerating the zero positions with combinations() yields the bit tuples
-    in ascending lexicographic order directly.  Levels above
-    MAX_RESIDUE_LEVEL (read per call) are refused before anything is built.
+    in ascending lexicographic order directly.  The refusal of levels above
+    MAX_RESIDUE_LEVEL states the tuple count of the last level allowed.
     """
-    if n < 1:
-        raise ValueError(f"level must be >= 1, got {n}")
     tuples = lambda: f"n <= {MAX_RESIDUE_LEVEL} ({ln_count(MAX_RESIDUE_LEVEL)} tuples)"
-    _refuse_above("candidate tuples are", n, MAX_RESIDUE_LEVEL, tuples)
+    _check_level(n, "candidate tuples are", tuples)
     m = kappa(n) - 1
     zeros = kappa(n) - n
     out = []
@@ -155,13 +166,6 @@ DEFAULT_MAX_NODES = 2000
 def tree_node_count(n: int) -> int:
     """Node count of an export over levels 1..n, without generating it."""
     return sum(class_counts(n))
-
-
-MAX_RESIDUE_LEVEL = 14  # verify_range's table at this level: 2^sigma_14 bytes, 16 MB
-
-
-def _level_limit() -> str:
-    return f"n <= {MAX_RESIDUE_LEVEL} ({tree_node_count(MAX_RESIDUE_LEVEL)} classes)"
 
 
 def export_tree(n: int, *, with_solutions: bool = False) -> str:

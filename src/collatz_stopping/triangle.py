@@ -10,6 +10,8 @@ step, hence the Pascal-like recurrence
 with cells existing only while 2^k < 3^n (stopped classes leave the pool).
 Rows are rolled one at a time; row sums give the surviving-residue counts
 w(k) and running column sums the class counts z(n), without the (k, n) table.
+Each reader returns at most MAX_TRIANGLE_TERMS (read per call) columns or
+w values, and refuses a larger request before it rolls a row.
 """
 
 from __future__ import annotations
@@ -17,7 +19,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import islice
 
-from .ladder import kappa, min_surviving_n
+from .ladder import _refuse_above, kappa, min_surviving_n
+
+MAX_TRIANGLE_TERMS = 1_000  # build_triangle(1000): 293,273 cells, 57 MB as CSV
 
 
 @dataclass(frozen=True)
@@ -47,6 +51,8 @@ def build_triangle(max_n: int) -> TriangleTable:
     """Every cell of columns 2..max_n; column n holds rows k = n .. kappa(n)."""
     if max_n < 2:
         raise ValueError(f"max_n must be >= 2, got {max_n}")
+    bound = MAX_TRIANGLE_TERMS
+    _refuse_above("triangle columns are", max_n, bound, lambda: f"n <= {bound}")
     cells = {(k, n): v for k, lo, row in _rows(max_n) for n, v in enumerate(row, lo)}
     return TriangleTable(max_n=max_n, cells=cells)
 
@@ -55,6 +61,8 @@ def survivor_counts(k_max: int) -> list[int]:
     """[w(2), .., w(k_max)]: the sums of rows 2..k_max, one row held at a time."""
     if k_max < 2:
         raise ValueError(f"row must be >= 2, got {k_max}")
+    rows = MAX_TRIANGLE_TERMS + 1  # w(2) .. w(rows) are MAX_TRIANGLE_TERMS values
+    _refuse_above("triangle rows are", k_max, rows, lambda: f"k <= {rows} ({rows - 1} values)")
     return [sum(row) for _, _, row in islice(_rows(k_max), k_max - 1)]
 
 
@@ -62,6 +70,8 @@ def class_counts(n_max: int) -> list[int]:
     """[z(1), .., z(n_max)]: z(1) = 1 for the tree's root, then column sums."""
     if n_max < 1:
         raise ValueError(f"column must be >= 1, got {n_max}")
+    bound = MAX_TRIANGLE_TERMS
+    _refuse_above("triangle columns are", n_max, bound, lambda: f"n <= {bound}")
     z = [1] + [0] * (n_max - 1)
     for _, lo, row in _rows(n_max):
         for n, v in enumerate(row, lo):

@@ -10,9 +10,8 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 
-from .core import _refuse_above
 from .diophantine import solve_vector
-from .ladder import kappa, sigma_n
+from .ladder import _refuse_above, kappa, sigma_n
 from . import ptree
 from .triangle import survivor_counts
 
@@ -96,8 +95,6 @@ def level_residues(n: int) -> tuple[int, ...]:
 def residue_table(n_max: int) -> list[ResidueBlock]:
     """Stopping-time classes: the trivial sigma = 1, 2 blocks followed by the
     ascending solved class list of each level n = 1..n_max."""
-    if n_max < 1:
-        raise ValueError(f"n_max must be >= 1, got {n_max}")
     levels = ptree.vset_levels(n_max)
     return [
         ResidueBlock(sigma=1, n=None, residues=(0,)),
@@ -184,13 +181,12 @@ def verify_range(
     """Check every x in [x_lo, x_hi): its simulated stopping time must place
     it in exactly the predicted class of residue_table(n_max).
 
-    Levels above ptree.MAX_RESIDUE_LEVEL (read per call) are refused before
-    anything is built.  The prediction is one byte per residue
-    (mod 2^sigma_n(n_max)): 64 KB at n_max 9, 16 MB at n_max 14.  Simulation
-    runs with budget sigma_n(n_max) + 1; x that do not stop within the table
-    horizon are counted as beyond_table, not as mismatches (they must then
-    lie in no class at all).  The range is scanned in one call, or cut into
-    one contiguous share per worker process, at most
+    The prediction is one byte per residue (mod 2^sigma_n(n_max)): 64 KB at
+    n_max 9, 16 MB at n_max 14.  Simulation runs with budget
+    sigma_n(n_max) + 1; x that do not stop within the table horizon are
+    counted as beyond_table, not as mismatches (they must then lie in no
+    class at all).  The range is scanned in one call, or cut into one
+    contiguous share per worker process, at most
     min(jobs, ceil(width / BLOCK_SIZE), CPUs) of them; shares are merged in
     ascending order, so the report is identical for every jobs setting.
     """
@@ -198,9 +194,6 @@ def verify_range(
         raise ValueError(f"x_lo must be >= 2, got {x_lo}")
     if x_hi < x_lo:
         raise ValueError(f"need x_lo <= x_hi, got {x_lo}..{x_hi}")
-    if n_max < 1:
-        raise ValueError(f"n_max must be >= 1, got {n_max}")
-    _refuse_above("residue levels are", n_max, ptree.MAX_RESIDUE_LEVEL, ptree._level_limit)
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     table = _prediction_table(n_max)

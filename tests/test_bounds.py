@@ -1,0 +1,99 @@
+"""Every bounded public entry point refuses an oversized request up front,
+where it allocates: with a ValueError, quickly, before it builds a tree level
+and without rolling triangle rows beyond the sizes its refusal states."""
+
+import time
+from unittest import mock
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from collatz_stopping import ladder, ptree, triangle, verify
+
+# name: (call, first refused request, deepest triangle row roll its refusal text
+# may make: 14 for the class count of levels 1..14, 26 for w(26), 11 for the
+# export's node counts, 0 for none)
+BOUNDED = {
+    "vset_levels": (ptree.vset_levels, 15, 14),
+    "generate_vset": (ptree.generate_vset, 15, 14),
+    "phn_counts": (ptree.phn_counts, 15, 14),
+    "level_residues": (verify.level_residues, 15, 14),
+    "residue_table": (verify.residue_table, 15, 14),
+    "verify_range": (lambda n: verify.verify_range(2, 10, n), 15, 14),
+    "lex_tuples": (ptree.lex_tuples, 15, 0),
+    "build_triangle": (triangle.build_triangle, 1_001, 0),
+    "class_counts": (triangle.class_counts, 1_001, 0),
+    "survivor_counts": (triangle.survivor_counts, 1_002, 0),
+    "ladder_rows": (ladder.ladder_rows, 100_001, 0),
+    "sieve": (verify.sieve, 27, 26),
+    "export_tree": (ptree.export_tree, 11, 11),
+}
+
+
+def _refuses_up_front(name, request):
+    call, _, deepest = BOUNDED[name]
+    rolled = []
+    rows = triangle._rows
+    spy = lambda max_n: rolled.append(max_n) or rows(max_n)
+    before = ptree._built_level.cache_info()
+    with mock.patch.object(triangle, "_rows", spy):
+        t0 = time.perf_counter()
+        with pytest.raises(ValueError, match=f"bounded at .*; requested {request}$"):
+            call(request)
+        elapsed = time.perf_counter() - t0
+    assert elapsed < 0.1
+    assert ptree._built_level.cache_info() == before
+    assert all(max_n <= deepest for max_n in rolled)
+
+
+@pytest.mark.parametrize("name", list(BOUNDED))
+def test_one_past_the_bound_and_far_past_it_are_refused(name):
+    _refuses_up_front(name, BOUNDED[name][1])
+    _refuses_up_front(name, 10**9)
+
+
+@settings(max_examples=100, deadline=None)
+@given(name=st.sampled_from(sorted(BOUNDED)), data=st.data())
+def test_any_request_past_the_bound_is_refused(name, data):
+    _refuses_up_front(name, data.draw(st.integers(BOUNDED[name][1], 10**9)))
+
+
+def test_the_moved_bounds_are_read_per_call(monkeypatch):
+    monkeypatch.setattr(triangle, "MAX_TRIANGLE_TERMS", 10)
+    monkeypatch.setattr(ladder, "MAX_LADDER_TERMS", 5)
+    columns = r"^triangle columns are bounded at n <= 10; requested 11$"
+    with pytest.raises(ValueError, match=columns):
+        triangle.build_triangle(11)
+    with pytest.raises(ValueError, match=columns):
+        triangle.class_counts(11)
+    rows = r"^triangle rows are bounded at k <= 11 \(10 values\); requested 12$"
+    with pytest.raises(ValueError, match=rows):
+        triangle.survivor_counts(12)
+    with pytest.raises(ValueError, match=r"^ladder rows are bounded at n <= 5; requested 6$"):
+        ladder.ladder_rows(6)
+    assert triangle.build_triangle(10).max_n == 10
+    assert len(triangle.class_counts(10)) == len(triangle.survivor_counts(11)) == 10
+    assert len(ladder.ladder_rows(5)) == 5
+
+
+def test_the_cli_follows_the_moved_bounds(monkeypatch, capsys):
+    from collatz_stopping.cli import main
+
+    monkeypatch.setattr(triangle, "MAX_TRIANGLE_TERMS", 10)
+    monkeypatch.setattr(ladder, "MAX_LADDER_TERMS", 5)
+    refused = {
+        ("oeis", "A076227", "--terms", "11"): "A076227 emission is bounded at 10 terms; requested 11",
+        ("oeis", "A100982", "--terms", "11"): "A100982 emission is bounded at 10 terms; requested 11",
+        ("oeis", "A056576", "--terms", "6"): "A056576 emission is bounded at 5 terms; requested 6",
+        ("triangle", "--max-n", "11", "--format", "csv"): (
+            "triangle columns are bounded at n <= 10; requested 11"
+        ),
+        ("ladder", "--max-n", "6"): "ladder rows are bounded at n <= 5; requested 6",
+    }
+    for argv, text in refused.items():
+        assert main(list(argv)) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"error: {text}\n"
+    assert main(["oeis", "A076227", "--terms", "10"]) == 0
+    assert len(capsys.readouterr().out.split()) == 10

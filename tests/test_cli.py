@@ -286,6 +286,20 @@ def test_oeis_refusal_builds_no_level(run_cli):
     assert cache.cache_info().currsize == 0
 
 
+def test_oeis_residue_bound_follows_the_patched_level(run_cli, monkeypatch):
+    from collatz_stopping import ptree
+
+    # levels 1..5 hold 1 + 2 + 3 + 7 + 12 classes
+    monkeypatch.setattr(ptree, "MAX_RESIDUE_LEVEL", 5)
+    cache = _cleared_level_cache()
+    code, out, err = run_cli("oeis", "A177789", "--terms", "26")
+    assert code == 2 and out == ""
+    assert err == "error: A177789 emission is bounded at levels n <= 5 (25 terms); requested 26\n"
+    assert cache.cache_info().currsize == 0
+    code, out, _ = run_cli("oeis", "A177789", "--terms", "25")
+    assert code == 0 and len(out.split()) == 25
+
+
 def _leading_ones(n):
     """The level-n vector of n + 1 ones followed by zeros, kappa(n) + 1 bits."""
     return ",".join(["1"] * (n + 1) + ["0"] * (kappa(n) - n))
@@ -310,12 +324,11 @@ _REFUSED_BEFORE_BUILDING = {
     ("tuples", "15"): (
         "candidate tuples are bounded at n <= 14 (203490 tuples); requested 15"
     ),
+    # build_triangle and ladder_rows refuse these two; the CLI keeps no copy
     ("triangle", "--max-n", "1001", "--format", "csv"): (
-        "triangle columns are bounded at --max-n <= 1000; requested 1001"
+        "triangle columns are bounded at n <= 1000; requested 1001"
     ),
-    ("ladder", "--max-n", "100001"): (
-        "ladder rows are bounded at --max-n <= 100000; requested 100001"
-    ),
+    ("ladder", "--max-n", "100001"): "ladder rows are bounded at n <= 100000; requested 100001",
     ("triangle", "--max-n", "201"): (
         "triangle columns are bounded at --max-n <= 200; requested 201"
     ),
@@ -339,12 +352,15 @@ _REFUSED_BEFORE_BUILDING = {
 
 @pytest.mark.parametrize("argv", list(_REFUSED_BEFORE_BUILDING))
 def test_level_above_the_bound_is_refused_before_building(run_cli, argv, monkeypatch):
-    from collatz_stopping import cli, triangle, verify
+    from collatz_stopping import cli, ladder, ptree, triangle, verify
 
-    built, counted = [], []
-    for name in ("build_triangle", "ladder_rows", "solve_vector"):
-        monkeypatch.setattr(cli, name, built.append)
+    built, counted, rolled = [], [], []
+    monkeypatch.setattr(cli, "solve_vector", built.append)
+    monkeypatch.setattr(ladder, "LadderRow", lambda *row: built.append(row))
+    monkeypatch.setattr(ptree, "_extend_level", lambda prev, n: built.append(n))
     monkeypatch.setattr(verify, "_children", lambda *args: built.append(args))
+    rows = triangle._rows
+    monkeypatch.setattr(triangle, "_rows", lambda max_n: rolled.append(max_n) or rows(max_n))
     count = lambda k: counted.append(k) or triangle.survivor_counts(k)
     for module in (cli, verify):
         monkeypatch.setattr(module, "survivor_counts", count)
@@ -355,8 +371,10 @@ def test_level_above_the_bound_is_refused_before_building(run_cli, argv, monkeyp
     info = cache.cache_info()
     assert info.hits == info.misses == 0
     assert built == []
-    # a refusal counts survivors no deeper than the sieve's own bound
+    # a refusal counts survivors no deeper than the sieve's own bound, and
+    # rolls triangle rows only for the sizes its text states
     assert all(k <= 26 for k in counted)
+    assert all(n <= 26 for n in rolled)
 
 
 def test_printed_bounds_stay_within_the_int_to_str_digit_limit():

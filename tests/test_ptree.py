@@ -92,17 +92,31 @@ def test_phn_examples(leading_ones_counts):
         assert sum(counts.values()) == leading_ones_counts["z"][n]
 
 
-def test_first_three_phn_rows_identical():
+def test_first_three_phn_rows_identical(monkeypatch):
+    from collatz_stopping import ptree
+
+    monkeypatch.setattr(ptree, "MAX_RESIDUE_LEVEL", 15)
     for n in range(3, 16):
         counts = phn_counts(n)
         assert counts[2] == counts[3] == counts[4]
 
 
-def test_level_sizes_match_triangle_column_sums():
+def test_level_sizes_match_triangle_column_sums(monkeypatch):
+    from collatz_stopping import ptree
+
+    monkeypatch.setattr(ptree, "MAX_RESIDUE_LEVEL", 16)
     table = build_triangle(16)
     levels = vset_levels(16)
     for n in range(2, 17):
         assert len(levels[n]) == z_from_triangle(table, n)
+    # back at 14, the cached levels 15 and 16 are refused like any other
+    monkeypatch.undo()
+    cached = ptree._built_level.cache_info()
+    for n in (15, 16):
+        for read in (vset_levels, generate_vset, phn_counts):
+            with pytest.raises(ValueError, match=rf"n <= 14 \(81117 classes\); requested {n}$"):
+                read(n)
+    assert ptree._built_level.cache_info() == cached
 
 
 def test_lex_tuples_match_fixture(level5_tuples):

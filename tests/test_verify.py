@@ -311,14 +311,18 @@ def test_forged_tables_agree_with_the_reference_scan(monkeypatch, jobs, edit, hi
 
 
 def test_verify_range_refuses_levels_above_the_bound_before_building(monkeypatch):
-    from collatz_stopping import ptree, verify
+    from collatz_stopping import ptree
 
-    monkeypatch.setattr(verify, "residue_table", lambda n: pytest.fail("table built"))
+    # residue_table refuses through vset_levels, before any level is looked up
+    ptree._built_level.cache_clear()
+    monkeypatch.setattr(ptree, "_extend_level", lambda prev, n: pytest.fail("level built"))
     with pytest.raises(ValueError) as refused:
         verify_range(2, 10, 15)
     assert str(refused.value) == (
         "residue levels are bounded at n <= 14 (81117 classes); requested 15"
     )
+    info = ptree._built_level.cache_info()
+    assert info.hits == info.misses == 0
     # the bound is read per call; levels 1..5 hold 1 + 2 + 3 + 7 + 12 classes
     monkeypatch.setattr(ptree, "MAX_RESIDUE_LEVEL", 5)
     refusal = r"^residue levels are bounded at n <= 5 \(25 classes\); requested 6$"

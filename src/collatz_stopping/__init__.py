@@ -30,15 +30,24 @@ from .ptree import (
     vset_levels,
 )
 from .triangle import TriangleTable, build_triangle, class_counts, survivor_counts, w, z_from_triangle
-from .verify import (
-    ResidueBlock,
-    SurvivalRecord,
-    VerificationReport,
-    level_residues,
-    residue_table,
-    sieve,
-    verify_range,
+
+# verify loads on first use (PEP 562): its records are frozen dataclasses,
+# and the dataclasses module alone would double the package's import time.
+# This can go once perfbench/selftest.py forges its broken verify records
+# with _replace instead of dataclasses.replace: they can then be NamedTuples.
+_VERIFY_NAMES = (
+    "ResidueBlock", "SurvivalRecord", "VerificationReport",
+    "level_residues", "residue_table", "sieve", "verify_range",
 )
+
+
+def __getattr__(name: str):
+    if name in _VERIFY_NAMES:
+        from . import verify
+
+        return getattr(verify, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __version__ = "0.1.0"
 

@@ -19,7 +19,10 @@ from .diophantine import solve_vector
 from .ladder import _refuse_above, d, kappa, ladder_rows, min_surviving_n, sigma_n
 from .ptree import export_tree, generate_vset, leading_ones, lex_tuples, ln_count, tree_node_count
 from .triangle import build_triangle, class_counts, survivor_counts, w, z_from_triangle
-from .verify import level_residues, sieve, verify_range
+
+# verify is imported inside the commands that use it: its records are
+# dataclasses, and the dataclasses module would double the start-up of every
+# other command.  The package __init__ says when this can go.
 
 # Bounds on what the CLI prints or shifts; the library refuses every other
 # oversized request where it allocates.  Any ValueError exits with code 2.
@@ -148,6 +151,8 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_residues(args) -> int:
+    from .verify import level_residues
+
     n = args.sigma_index
     xs = level_residues(n)
     sig = sigma_n(n)
@@ -157,6 +162,8 @@ def _cmd_residues(args) -> int:
 
 
 def _cmd_sieve(args) -> int:
+    from .verify import sieve
+
     records = sieve(args.k)
     if args.format == "csv":
         writer = csv.writer(sys.stdout)
@@ -173,6 +180,8 @@ def _cmd_sieve(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .verify import verify_range
+
     ints = lambda: f"--max-bits <= {MAX_VERIFY_BITS} ({2**MAX_VERIFY_BITS - 2} integers)"
     _refuse_above("verify ranges are", args.max_bits, MAX_VERIFY_BITS, ints)
     if args.max_bits < 2:
@@ -200,6 +209,8 @@ def _each_n(f: Callable[[int], int]) -> Callable[[int], list[int]]:
 
 
 def _residue_terms(terms: int) -> list[int]:
+    from .verify import level_residues
+
     # level by level: the levels past the one completing `terms` are never built
     levels = map(level_residues, range(1, ptree.MAX_RESIDUE_LEVEL + 1))
     return list(islice(chain.from_iterable(levels), terms))

@@ -14,7 +14,6 @@ running minimum; the consistency checks raise RuntimeError.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import compress
 from typing import TYPE_CHECKING, NamedTuple
@@ -184,8 +183,7 @@ def check_corollary3_delta(
     return delta, ok
 
 
-@dataclass(frozen=True)
-class Corollary3Prediction:
+class Corollary3Prediction(NamedTuple):
     """Outcome of one explicit step-2 formula evaluation against ground truth."""
 
     n: int

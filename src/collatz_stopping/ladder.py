@@ -10,9 +10,8 @@ module of the package.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable
+from typing import Callable, NamedTuple
 
 MAX_LADDER_TERMS = 100_000
 
@@ -25,8 +24,7 @@ def _refuse_above(what: str, request: int, bound: int, limit: Callable[[], str])
         raise ValueError(f"{what} bounded at {limit()}; requested {request}")
 
 
-@dataclass(frozen=True)
-class LadderRow:
+class LadderRow(NamedTuple):
     """The constants attached to one level n."""
 
     n: int

@@ -17,10 +17,10 @@ levels above MAX_RESIDUE_LEVEL (read per call) before it builds one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 from math import comb
+from typing import NamedTuple
 
 from .core import Bits
 from .diophantine import solve_vector
@@ -41,8 +41,7 @@ def _check_level(n: int, what: str = "residue levels are", limit=_level_limit) -
     _refuse_above(what, n, MAX_RESIDUE_LEVEL, limit)
 
 
-@dataclass(frozen=True)
-class VSetEntry:
+class VSetEntry(NamedTuple):
     """One generated vector with its labels and provenance.
 
     h is the count of leading consecutive 1s, p the 1-based rank within the

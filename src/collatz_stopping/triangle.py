@@ -16,16 +16,15 @@ w values, and refuses a larger request before it rolls a row.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import islice
+from typing import NamedTuple
 
 from .ladder import _refuse_above, kappa, min_surviving_n
 
 MAX_TRIANGLE_TERMS = 1_000  # build_triangle(1000): 293,273 cells, 57 MB as CSV
 
 
-@dataclass(frozen=True)
-class TriangleTable:
+class TriangleTable(NamedTuple):
     """Sparse triangle keyed by (k, n); missing cells are zero by the cut rule."""
 
     max_n: int

@@ -114,14 +114,15 @@ def test_verify_subcommand_clean(run_cli):
 
 
 def test_verify_subcommand_exits_nonzero_on_mismatch(run_cli, monkeypatch):
-    from collatz_stopping import cli
+    from collatz_stopping import verify
     from collatz_stopping.verify import VerificationReport
 
     fake = VerificationReport(
         x_lo=2, x_hi=10, n_max=4, counts={1: 4}, beyond_table=0,
         mismatches=((9, 2, 4),),
     )
-    monkeypatch.setattr(cli, "verify_range", lambda *a, **kw: fake)
+    # the verify command imports verify_range from verify when it runs
+    monkeypatch.setattr(verify, "verify_range", lambda *a, **kw: fake)
     code, out, _ = run_cli("verify", "--max-bits", "4", "--n-max", "4")
     assert code == 1
     assert "x=9 predicted=2 simulated=4" in out

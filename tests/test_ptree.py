@@ -117,6 +117,8 @@ def test_level_sizes_match_triangle_column_sums(monkeypatch):
             with pytest.raises(ValueError, match=rf"n <= 14 \(81117 classes\); requested {n}$"):
                 read(n)
     assert ptree._built_level.cache_info() == cached
+    # levels 15 and 16 hold about 70 MB that no later test reads
+    ptree._built_level.cache_clear()
 
 
 def test_lex_tuples_match_fixture(level5_tuples):

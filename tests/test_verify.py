@@ -402,7 +402,9 @@ print(json.dumps([code, pool_modules, same, "concurrent.futures.process" in sys.
 """
 
 
-def test_start_up_loads_no_pool_until_verify_starts_one():
+def _fresh_interpreter(script, *argv):
+    """Run script in a new interpreter that imports the package from src/;
+    returns the JSON value of its last line of stdout."""
     import json
     import os
     import subprocess
@@ -412,17 +414,80 @@ def test_start_up_loads_no_pool_until_verify_starts_one():
     src = str(Path(__file__).resolve().parent.parent / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, "-c", _LEAN_START],
+        [sys.executable, "-c", script, *argv],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0, proc.stderr
-    code, pool_modules, same, pool_loaded = json.loads(proc.stdout.splitlines()[-1])
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_start_up_loads_no_pool_until_verify_starts_one():
+    code, pool_modules, same, pool_loaded = _fresh_interpreter(_LEAN_START)
     # the CLI ran verify with jobs=1 and left the process machinery unloaded
     assert code == 0 and pool_modules == []
     # two shares of 2^16 integers on 2 CPUs: the real pool starts 2 processes
     assert same and pool_loaded
+
+
+_NO_DATACLASSES_AT_START = """
+import json, sys
+
+import collatz_stopping
+from collatz_stopping import cli
+
+cli.build_parser()
+code = cli.main(["tuples", "5"])
+loaded = lambda: [m for m in ("dataclasses", "inspect", "collatz_stopping.verify") if m in sys.modules]
+at_start = loaded()
+if sys.argv[1] == "call":
+    works = len(collatz_stopping.residue_table(3)) == 5
+else:
+    from collatz_stopping import SurvivalRecord
+    works = SurvivalRecord.__name__ == "SurvivalRecord"
+on_use = loaded()
+from collatz_stopping import verify
+resolved = all(hasattr(collatz_stopping, name) for name in collatz_stopping.__all__)
+same = collatz_stopping.sieve is verify.sieve and collatz_stopping.ResidueBlock is verify.ResidueBlock
+print(json.dumps([code, at_start, works, on_use, resolved, same, hasattr(collatz_stopping, "nope")]))
+"""
+
+
+@pytest.mark.parametrize("first_use", ["call", "import"])
+def test_start_up_loads_no_dataclasses_until_verify_is_used(first_use):
+    code, at_start, works, on_use, resolved, same, unknown = _fresh_interpreter(
+        _NO_DATACLASSES_AT_START, first_use
+    )
+    # import, parser and a command that needs no verify load none of them
+    assert code == 0 and at_start == []
+    # the first use of a verify name loads verify and its dataclasses
+    assert works and on_use == ["dataclasses", "inspect", "collatz_stopping.verify"]
+    assert resolved and same and not unknown
+
+
+def test_records_off_the_start_up_path_are_immutable_tuples():
+    from collatz_stopping.diophantine import Corollary3Prediction, predict_corollary3_explicit
+    from collatz_stopping.ladder import LadderRow, ladder_rows
+    from collatz_stopping.ptree import ROOT, VSetEntry, generate_vset
+    from collatz_stopping.triangle import TriangleTable, build_triangle
+
+    # the field order of the frozen dataclasses they replaced
+    assert LadderRow._fields == ("n", "d", "kappa", "sigma")
+    assert TriangleTable._fields == ("max_n", "cells")
+    assert VSetEntry._fields == ("vector", "n", "h", "p", "parent")
+    assert Corollary3Prediction._fields == (
+        "n", "j", "d_n", "parent", "predicted", "actual", "matches",
+    )
+    row = ladder_rows(3)[-1]
+    table = build_triangle(4)
+    entry = generate_vset(3)[-1]
+    prediction = predict_corollary3_explicit(11, 2, 1, 2)
+    for record, field in ((row, "kappa"), (table, "cells"), (entry, "p"), (prediction, "actual")):
+        with pytest.raises(AttributeError):
+            setattr(record, field, 0)
+    assert table.cell(4, 3) == table.cells[4, 3] and table.cell(1, 4) == 0
+    assert len({row, LadderRow(3, 1, 4, 7), ROOT, entry, VSetEntry((1, 1), 1, 2, 1, None)}) == 3
 
 
 def _in_process_pool(monkeypatch, cpus):

@@ -209,10 +209,10 @@ def _each_n(f: Callable[[int], int]) -> Callable[[int], list[int]]:
 
 
 def _residue_terms(terms: int) -> list[int]:
-    from .verify import level_residues
+    from .verify import _level_stream
 
-    # level by level: the levels past the one completing `terms` are never built
-    levels = map(level_residues, range(1, ptree.MAX_RESIDUE_LEVEL + 1))
+    # one lazy stream: the levels past the one completing `terms` are never built
+    levels = map(sorted, _level_stream(ptree.MAX_RESIDUE_LEVEL))
     return list(islice(chain.from_iterable(levels), terms))
 
 

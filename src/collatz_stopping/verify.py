@@ -10,7 +10,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 
-from .diophantine import solve_vector
+from .diophantine import _level_constants, solve_vector
 from .ladder import _refuse_above, kappa, sigma_n
 from . import ptree
 from .triangle import survivor_counts
@@ -79,29 +79,78 @@ class ResidueBlock:
         return 1 << self.sigma
 
 
-def _solved_residues(n: int, entries) -> tuple[int, ...]:
-    solutions = [solve_vector(e.vector) for e in entries]
-    if not all(s.member for s in solutions):
-        raise RuntimeError(f"level {n} holds a vector whose solution is not a member")
-    return tuple(sorted(s.x for s in solutions))
+def _grown(sums: list, ends: list, n: int) -> tuple[list, list]:
+    """Level n's weighted sums and final-1 positions from level n-1's."""
+    top = kappa(n)
+    bit = 1 << top
+    out_s, out_p = out = [], []
+    for s, q in zip(sums, ends):  # the parent's final 1 is the child's q
+        s, p = 3 * s + bit, top  # step 1: the final 1 lands at kappa(n)
+        out_s.append(s)
+        out_p.append(p)
+        while p - 1 > q:  # step 2: the final 1 moves one place left
+            p -= 1
+            s -= 1 << p
+            out_s.append(s)
+            out_p.append(p)
+        if p == n:  # step 3: ones fill 0..n, so h = n + 1 and the level closes
+            return out
+    raise RuntimeError(f"level {n} did not close on the all-leading-ones vector")
+
+
+def _level_stream(n_max: int):
+    """Yield each level's residues (mod 2^sigma_n), n = 1..n_max, in the
+    tree's emission order, without solving each vector.
+
+    An entry is its weighted sum S (diophantine's docstring) and the position
+    p of its final 1, and x = -S * 3^-(n+1) (mod 2^sigma_n).  Levels are built
+    one at a time, as the reader asks.  Each x must be a member by one
+    sigma_n-step walk (solve_vector's predicate), and the solved closing
+    vector must be a member equal to the level's last residue; else
+    RuntimeError.
+    """
+    ptree._check_level(n_max)
+    sums, ends = [5], [1]  # the root (1, 1): S = 3 * 2^0 + 2^1
+    for n in range(1, n_max + 1):
+        if n > 1:
+            sums, ends = _grown(sums, ends, n)
+        sig, mod, _, inv = _level_constants(n)
+        residues = [-s * inv % mod for s in sums]
+        steps = range(sig)
+        for x in residues:
+            t = low = x  # low is min(T^0 .. T^(sigma_n - 1)) once the walk ends
+            for _ in steps:
+                if t < low:
+                    low = t
+                t = (3 * t + 1) >> 1 if t & 1 else t >> 1
+            if not t < x <= low:
+                raise RuntimeError(f"level {n} holds a class {x} that is not a member")
+        closing = solve_vector((1,) * (n + 1) + (0,) * (kappa(n) - n))
+        if not closing.member or closing.x != residues[-1]:
+            raise RuntimeError(
+                f"level {n} closes on {residues[-1]}, but its vector solves to {closing.x}"
+                + ("" if closing.member else ", which is not a member")
+            )
+        yield residues
 
 
 def level_residues(n: int) -> tuple[int, ...]:
-    """Ascending residues (mod 2^sigma_n) of the level-n classes: the tree's
-    level-n vectors, each solved."""
-    return _solved_residues(n, ptree.generate_vset(n))
+    """Ascending residues (mod 2^sigma_n) of the level-n classes, streamed
+    along the tree through levels 1..n."""
+    for residues in _level_stream(n):
+        pass
+    return tuple(sorted(residues))
 
 
 def residue_table(n_max: int) -> list[ResidueBlock]:
     """Stopping-time classes: the trivial sigma = 1, 2 blocks followed by the
-    ascending solved class list of each level n = 1..n_max."""
-    levels = ptree.vset_levels(n_max)
+    ascending class list of each level n = 1..n_max, from one stream."""
     return [
         ResidueBlock(sigma=1, n=None, residues=(0,)),
         ResidueBlock(sigma=2, n=None, residues=(1,)),
     ] + [
-        ResidueBlock(sigma=sigma_n(n), n=n, residues=_solved_residues(n, levels[n]))
-        for n in range(1, n_max + 1)
+        ResidueBlock(sigma=sigma_n(n), n=n, residues=tuple(sorted(residues)))
+        for n, residues in enumerate(_level_stream(n_max), start=1)
     ]
 
 
@@ -175,6 +224,11 @@ def _scan_block(lo: int, hi: int, table: bytearray) -> tuple:
     return {s or None: c for s, c in enumerate(counts) if c}, mismatches
 
 
+def _scan_share(lo: int, hi: int, n_max: int) -> tuple:
+    """One worker's share: it is sent n_max, not the table, and builds its own."""
+    return _scan_block(lo, hi, _prediction_table(n_max))
+
+
 def verify_range(
     x_lo: int, x_hi: int, n_max: int, *, jobs: int = 1
 ) -> VerificationReport:
@@ -187,8 +241,8 @@ def verify_range(
     counted as beyond_table, not as mismatches (they must then lie in no
     class at all).  The range is scanned in one call, or cut into one
     contiguous share per worker process, at most
-    min(jobs, ceil(width / BLOCK_SIZE), CPUs) of them; shares are merged in
-    ascending order, so the report is identical for every jobs setting.
+    min(jobs, ceil(width / BLOCK_SIZE), CPUs) of them, each with its own table;
+    shares merge in ascending order, so every jobs setting gives one report.
     """
     if x_lo < 2:
         raise ValueError(f"x_lo must be >= 2, got {x_lo}")
@@ -196,18 +250,18 @@ def verify_range(
         raise ValueError(f"need x_lo <= x_hi, got {x_lo}..{x_hi}")
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
-    table = _prediction_table(n_max)
+    ptree._check_level(n_max)  # before any table is built or process started
     # the pool starts all max_workers processes at the first submit
     workers = min(jobs, len(range(x_lo, x_hi, BLOCK_SIZE)), os.cpu_count() or 1)
     if workers <= 1:
-        results = [_scan_block(x_lo, x_hi, table)]
+        results = [_scan_block(x_lo, x_hi, _prediction_table(n_max))]
     else:
         # imported here: it loads multiprocessing, which no other path needs
         from concurrent.futures import ProcessPoolExecutor
 
         cuts = [x_lo + (x_hi - x_lo) * i // workers for i in range(workers + 1)]
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_scan_block, cuts[:-1], cuts[1:], [table] * workers))
+            results = list(pool.map(_scan_share, cuts[:-1], cuts[1:], [n_max] * workers))
     counts: dict[int | None, int] = {}
     mismatches: list[tuple[int, int | None, int | None]] = []
     for share_counts, share_mism in results:

@@ -417,12 +417,21 @@ def test_counts_are_read_without_building_a_table(run_cli, monkeypatch):
     assert tables == []
 
 
-def test_oeis_residues_stop_at_the_completing_level(run_cli):
+def test_oeis_residues_stop_at_the_completing_level(run_cli, monkeypatch):
+    from collatz_stopping import verify
+
     # 313 = z(1) + ... + z(8): levels 9..14 are never built
-    cache = _cleared_level_cache()
+    stream, built = verify._level_stream, []
+
+    def probe(n_max):
+        for n, residues in enumerate(stream(n_max), start=1):
+            built.append(n)
+            yield residues
+
+    monkeypatch.setattr(verify, "_level_stream", probe)
     code, out, _ = run_cli("oeis", "A177789", "--terms", "313")
     assert code == 0 and len(out.split()) == 313
-    assert cache.cache_info().currsize == 8
+    assert built == list(range(1, 9))
 
 
 # The listings as they were once written: one print() per line and each

@@ -15,6 +15,10 @@ def test_each_level_is_extended_once(monkeypatch):
         return real(prev, n)
 
     monkeypatch.setattr(ptree, "_extend_level", spy)
+    # the class lists are streamed along the tree, not read from its levels
+    residue_table(10)
+    verify_range(2, 4096, 10)
+    assert extended == []
     generate_vset(10)
     for n in range(2, 11):
         phn_counts(n)

@@ -3,7 +3,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from collatz_stopping.core import forward_map, stopping_time
+from collatz_stopping.diophantine import solve_vector
 from collatz_stopping.ladder import kappa, sigma_n
+from collatz_stopping.ptree import generate_vset
 from collatz_stopping.triangle import build_triangle, class_counts, w, z_from_triangle
 from collatz_stopping.verify import (
     VerificationReport,
@@ -12,6 +14,15 @@ from collatz_stopping.verify import (
     sieve,
     verify_range,
 )
+
+
+def reference_level_residues(n):
+    """level_residues as first written: every level-n vector of the tree
+    solved, each solution confirmed a member.  An oracle for the stream."""
+    solutions = [solve_vector(e.vector) for e in generate_vset(n)]
+    if not all(s.member for s in solutions):
+        raise RuntimeError(f"level {n} holds a vector whose solution is not a member")
+    return tuple(sorted(s.x for s in solutions))
 
 
 def reference_classes(n_max):
@@ -224,16 +235,16 @@ def test_verify_range_preconditions():
 
 
 def _forge_level(monkeypatch, n, edit):
-    """Route level n's solved residues through edit, in every class list."""
+    """Route level n's streamed residues through edit, in every class list."""
     from collatz_stopping import verify
 
-    solved = verify._solved_residues
+    stream = verify._level_stream
 
-    def forged(level, entries):
-        residues = solved(level, entries)
-        return tuple(sorted(edit(set(residues)))) if level == n else residues
+    def forged(n_max):
+        for level, residues in enumerate(stream(n_max), start=1):
+            yield sorted(edit(set(residues))) if level == n else residues
 
-    monkeypatch.setattr(verify, "_solved_residues", forged)
+    monkeypatch.setattr(verify, "_level_stream", forged)
 
 
 def test_verify_range_reports_a_dropped_class(monkeypatch):
@@ -313,7 +324,7 @@ def test_forged_tables_agree_with_the_reference_scan(monkeypatch, jobs, edit, hi
 def test_verify_range_refuses_levels_above_the_bound_before_building(monkeypatch):
     from collatz_stopping import ptree
 
-    # residue_table refuses through vset_levels, before any level is looked up
+    # verify_range refuses through ptree._check_level, before any level is built
     ptree._built_level.cache_clear()
     monkeypatch.setattr(ptree, "_extend_level", lambda prev, n: pytest.fail("level built"))
     with pytest.raises(ValueError) as refused:
@@ -358,6 +369,87 @@ def test_level_residues_refuses_a_non_member(monkeypatch):
         residue_table(3)
 
 
+def test_stream_equals_the_solver_on_every_entry_in_emission_order():
+    from collatz_stopping import verify
+
+    for n, residues in enumerate(verify._level_stream(12), start=1):
+        assert residues == [solve_vector(e.vector).x for e in generate_vset(n)]
+
+
+def test_sorted_stream_equals_the_oracle_on_the_deepest_levels():
+    from collatz_stopping import ptree, verify
+
+    try:
+        streamed = list(verify._level_stream(14))
+        for n in (13, 14):
+            assert tuple(sorted(streamed[n - 1])) == reference_level_residues(n)
+    finally:
+        ptree._built_level.cache_clear()  # levels 13 and 14 hold about 30 MB
+
+
+def test_the_stream_solves_one_vector_per_level(monkeypatch):
+    from collatz_stopping import verify
+
+    solved = []
+    real = verify.solve_vector
+    monkeypatch.setattr(verify, "solve_vector", lambda v: solved.append(v) or real(v))
+    residue_table(12)
+    # each level's closing vector: n + 1 leading ones, then kappa(n) - n zeros
+    assert solved == [(1,) * (n + 1) + (0,) * (kappa(n) - n) for n in range(1, 13)]
+
+
+@pytest.mark.parametrize(
+    "forge, refusal",
+    [
+        ({"x": 17}, "its vector solves to 17"),
+        ({"member": False}, "its vector solves to 15, which is not a member"),
+    ],
+    ids=["other-x", "non-member"],
+)
+def test_a_forged_closing_solution_fails_the_level_certificate(monkeypatch, forge, refusal):
+    from collatz_stopping import verify
+
+    real = verify.solve_vector
+
+    def forged(v):
+        sol = real(v)
+        return sol._replace(**forge) if sum(v) == 4 else sol
+
+    monkeypatch.setattr(verify, "solve_vector", forged)
+    assert level_residues(2) == (11, 23)
+    with pytest.raises(RuntimeError, match=rf"^level 3 closes on 15, but {refusal}$"):
+        level_residues(3)
+
+
+def test_the_stream_walks_every_class(monkeypatch):
+    from collatz_stopping import diophantine, verify
+    from collatz_stopping.ptree import lex_tuples
+
+    # a level-5 candidate that stops earlier, put in place of the first class
+    stray = next(v for v in lex_tuples(5) if not solve_vector(v).member)
+    grown = verify._grown
+
+    def forged(sums, ends, n):
+        out = grown(sums, ends, n)
+        if n == 5:
+            out[0][0] = diophantine._weighted_sum(stray)
+        return out
+
+    monkeypatch.setattr(verify, "_grown", forged)
+    assert len(residue_table(4)) == 6
+    refusal = rf"^level 5 holds a class {solve_vector(stray).x} that is not a member$"
+    with pytest.raises(RuntimeError, match=refusal):
+        residue_table(5)
+
+
+def test_a_level_that_never_closes_is_refused():
+    from collatz_stopping import verify
+
+    # the root grown straight to level 3: its chain ends with 3 leading ones, not 4
+    with pytest.raises(RuntimeError, match="^level 3 did not close on the all-leading-ones vector$"):
+        verify._grown([5], [1], 3)
+
+
 def test_verify_range_one_worker_scans_the_range_in_one_call(monkeypatch):
     import tracemalloc
 
@@ -371,7 +463,7 @@ def test_verify_range_one_worker_scans_the_range_in_one_call(monkeypatch):
 
     monkeypatch.setattr(verify, "BLOCK_SIZE", 1)
     monkeypatch.setattr(verify, "_scan_block", scan)
-    residue_table(1)  # its levels are cached before the trace starts
+    residue_table(1)  # its level constants are cached before the trace starts
     tracemalloc.start()
     try:
         report = verify_range(2, 2 + 10**5, 1)
@@ -512,9 +604,9 @@ def _in_process_pool(monkeypatch, cpus):
             return False
 
         def map(self, fn, *iterables):
-            starts, ends, tables = (list(it) for it in iterables)
+            starts, ends, n_maxes = (list(it) for it in iterables)
             self.shares.extend(zip(starts, ends))
-            return map(fn, starts, ends, tables)
+            return map(fn, starts, ends, n_maxes)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
     monkeypatch.setattr(verify.os, "cpu_count", lambda: cpus)
@@ -543,6 +635,23 @@ def test_verify_range_workers_clamped_to_cpus_and_blocks(monkeypatch, jobs, cpus
         assert len(shares) == w
         _assert_tiling(shares, 2, 2 + 10 * 1024)
     assert report == verify_range(2, 2 + 10 * 1024, 6)
+
+
+def test_pool_shares_build_their_own_tables(monkeypatch):
+    from collatz_stopping import verify
+
+    pools = _in_process_pool(monkeypatch, 2)
+    monkeypatch.setattr(verify, "BLOCK_SIZE", 64)
+    built, real = [], verify._prediction_table
+    monkeypatch.setattr(verify, "_prediction_table", lambda n: built.append(n) or real(n))
+    report = verify_range(2, 2 + 2 * 64, 4, jobs=2)
+    # each share is sent n_max and builds its table; the parent builds none
+    assert built == [4, 4] and len(pools) == 1
+    assert report == reference_report(2, 2 + 2 * 64, 4)
+    # an oversized n_max is refused before any pool or table is made
+    with pytest.raises(ValueError, match=r"bounded at n <= 14 .*; requested 15$"):
+        verify_range(2, 1 << 20, 15, jobs=2)
+    assert built == [4, 4] and len(pools) == 1
 
 
 def test_parallel_merge_keeps_mismatch_order_across_shares(monkeypatch):

@@ -209,10 +209,10 @@ def _each_n(f: Callable[[int], int]) -> Callable[[int], list[int]]:
 
 
 def _residue_terms(terms: int) -> list[int]:
-    from .verify import _level_stream
+    from .verify import _level_classes
 
-    # one lazy stream: the levels past the one completing `terms` are never built
-    levels = map(sorted, _level_stream(ptree.MAX_RESIDUE_LEVEL))
+    # read lazily: the levels past the one completing `terms` are never built
+    levels = map(sorted, map(_level_classes, range(1, ptree.MAX_RESIDUE_LEVEL + 1)))
     return list(islice(chain.from_iterable(levels), terms))
 
 

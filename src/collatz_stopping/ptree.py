@@ -11,8 +11,10 @@ order the construction emits vectors:
           all zeros has been emitted.
 
 Emission order is the contract: per-h ranks p, the candidate-tuple ordering
-and the residue recurrences all refer to it.  Every public reader refuses
-levels above MAX_RESIDUE_LEVEL (read per call) before it builds one.
+and the residue recurrences all refer to it.  One walker, _tree_level,
+applies the steps and keeps each level; every reader here and verify's class
+lists read it.  Every public reader refuses levels above MAX_RESIDUE_LEVEL
+(read per call) before it builds one.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from typing import NamedTuple
 
 from .core import Bits
 from .diophantine import solve_vector
-from .ladder import _refuse_above, d, kappa
+from .ladder import _refuse_above, kappa
 from .triangle import class_counts
 
 MAX_RESIDUE_LEVEL = 14  # verify_range's table at this level: 2^sigma_14 bytes, 16 MB
@@ -78,56 +80,80 @@ def trailing_zeros(bits: Bits) -> int:
     return j
 
 
-def _extend_level(prev: tuple[VSetEntry, ...], n: int) -> tuple[VSetEntry, ...]:
-    suffix = (1,) if d(n) == 1 else (0, 1)
-    terminal = (1,) * (n + 1) + (0,) * (kappa(n) - n)
-    raw: list[tuple[Bits, tuple[str, int]]] = []
-    for pi, entry in enumerate(prev):
-        child = entry.vector + suffix
-        raw.append((child, ("step1", pi)))
-        cur = list(child)
-        pos = len(cur) - 1
-        while pos >= 1 and cur[pos - 1] == 0:
-            cur[pos - 1], cur[pos] = 1, 0
-            pos -= 1
-            raw.append((tuple(cur), ("step2", len(raw) - 1)))
-        if raw[-1][0] == terminal:
-            break
-    if raw[-1][0] != terminal:
-        raise RuntimeError(f"level {n} did not close on the all-leading-ones vector")
-    out = []
-    per_h: dict[int, int] = {}
-    for vec, parent in raw:
-        h = leading_ones(vec)
-        per_h[h] = per_h.get(h, 0) + 1
-        out.append(VSetEntry(vector=vec, n=n, h=h, p=per_h[h], parent=parent))
-    return tuple(out)
-
-
 @lru_cache(maxsize=None)
-def _built_level(n: int) -> tuple[VSetEntry, ...]:
-    """Level n, extended from level n-1 once per process and kept."""
-    return (ROOT,) if n == 1 else _extend_level(_built_level(n - 1), n)
+def _tree_level(n: int) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
+    """Level n in emission order as three parallel tuples: each entry's
+    weighted sum S (diophantine's docstring), final-1 position and leading-ones
+    count h.  Extended from level n-1 once per process; levels 1..14 take 4.6 MB."""
+    if n == 1:
+        return (5,), (1,), (2,)  # the root (1, 1): S = 3 * 2^0 + 2^1
+    top = kappa(n)
+    bit = 1 << top
+    sums, ends, heads = [], [], []
+    for s, q, h in zip(*_tree_level(n - 1)):  # the parent's final 1 is the child's q
+        s, p = 3 * s + bit, top  # step 1: the final 1 lands at kappa(n)
+        sums.append(s)
+        ends.append(p)
+        heads.append(h)
+        while p - 1 > q:  # step 2: the final 1 moves one place left
+            p -= 1
+            s -= 1 << p
+            if p == h:  # it joins the leading ones
+                h += 1
+            sums.append(s)
+            ends.append(p)
+            heads.append(h)
+        if p == n:  # step 3: ones fill 0..n, so h = n + 1 and the level closes
+            return tuple(sums), tuple(ends), tuple(heads)
+    raise RuntimeError(f"level {n} did not close on the all-leading-ones vector")
+
+
+def _entry_levels(n_max: int):
+    """Yield levels 1..n_max as VSetEntry lists rebuilt from _tree_level.
+    An entry whose final 1 sits at kappa(n) is the step-1 child of the next
+    level-(n-1) entry; any other is the step-2 move of the entry before it.
+    Either way its vector is its level-(n-1) ancestor's, padded with zeros to
+    kappa(n) + 1 bits, with a 1 at its final position."""
+    level = [ROOT]
+    yield level
+    for n in range(2, n_max + 1):
+        prev, level, ranks = level, [], {}
+        top = kappa(n)
+        pad = (0,) * (top - kappa(n - 1))  # d(n) zeros: level n-1's length to top + 1
+        parent = -1
+        for p, h in zip(*_tree_level(n)[1:]):
+            if p == top:
+                parent += 1
+                base = prev[parent].vector + pad
+                link = ("step1", parent)
+            else:
+                link = ("step2", len(level) - 1)
+            ranks[h] = rank = ranks.get(h, 0) + 1
+            vector = base[:p] + (1,) + base[p + 1 :]
+            level.append(VSetEntry(vector, n, h, rank, link))
+        yield level
 
 
 def vset_levels(n_max: int) -> dict[int, list[VSetEntry]]:
     """Levels 1..n_max, each in emission order."""
     _check_level(n_max)
-    return {n: list(_built_level(n)) for n in range(1, n_max + 1)}
+    return dict(enumerate(_entry_levels(n_max), start=1))
 
 
 def generate_vset(n: int) -> list[VSetEntry]:
     """The level-n vector set in emission order."""
     _check_level(n)
-    return list(_built_level(n))
+    for level in _entry_levels(n):
+        pass
+    return level
 
 
 def phn_counts(n: int) -> dict[int, int]:
     """Histogram of leading-ones counts h over the level-n set."""
     _check_level(n)
     counts: dict[int, int] = {}
-    for entry in _built_level(n):
-        counts[entry.h] = counts.get(entry.h, 0) + 1
+    for h in _tree_level(n)[2]:
+        counts[h] = counts.get(h, 0) + 1
     return counts
 
 
@@ -187,16 +213,17 @@ def export_tree(n: int, *, with_solutions: bool = False) -> str:
         "  rankdir=LR;",
         '  node [shape=box fontname="monospace"];',
     ]
-    for level in range(1, n + 1):
+    levels = list(_entry_levels(n))
+    for level, entries in enumerate(levels, start=1):
         lines.append(f"  {{ rank=same; /* level {level} */")
-        for i, entry in enumerate(_built_level(level)):
+        for i, entry in enumerate(entries):
             label = "(" + ",".join(map(str, entry.vector)) + ")"
             if with_solutions:
                 label += f"\\nx={solve_vector(entry.vector).x}"
             lines.append(f'    v{level}_{i} [label="{label}"];')
         lines.append("  }")
-    for level in range(2, n + 1):
-        for i, entry in enumerate(_built_level(level)):
+    for level, entries in enumerate(levels[1:], start=2):
+        for i, entry in enumerate(entries):
             kind, pi = entry.parent
             if kind == "step1":
                 lines.append(f"  v{level - 1}_{pi} -> v{level}_{i};")

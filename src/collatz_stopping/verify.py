@@ -1,8 +1,11 @@
-"""Brute-force oracles: the doubling survival sieve, the assembled residue
-table, and exhaustive stopping-time verification over integer ranges.
+"""Class lists read along the tree, and the brute-force routes that check them.
 
-These routes are deliberately independent of the triangle recurrence and the
-tree construction so the three can be checked against each other.
+level_residues and residue_table are the tree route's output: each level's
+residues are read off ptree's cached weighted sums.  The brute-force routes
+are sieve, the doubling survival sieve, and the scan in verify_range, which
+simulates every integer of a range against the class table.  Neither derives
+its classes from the tree or the triangle recurrence, so the three routes
+can be checked against each other.
 """
 
 from __future__ import annotations
@@ -79,79 +82,47 @@ class ResidueBlock:
         return 1 << self.sigma
 
 
-def _grown(sums: list, ends: list, n: int) -> tuple[list, list]:
-    """Level n's weighted sums and final-1 positions from level n-1's."""
-    top = kappa(n)
-    bit = 1 << top
-    out_s, out_p = out = [], []
-    for s, q in zip(sums, ends):  # the parent's final 1 is the child's q
-        s, p = 3 * s + bit, top  # step 1: the final 1 lands at kappa(n)
-        out_s.append(s)
-        out_p.append(p)
-        while p - 1 > q:  # step 2: the final 1 moves one place left
-            p -= 1
-            s -= 1 << p
-            out_s.append(s)
-            out_p.append(p)
-        if p == n:  # step 3: ones fill 0..n, so h = n + 1 and the level closes
-            return out
-    raise RuntimeError(f"level {n} did not close on the all-leading-ones vector")
-
-
-def _level_stream(n_max: int):
-    """Yield each level's residues (mod 2^sigma_n), n = 1..n_max, in the
-    tree's emission order, without solving each vector.
-
-    An entry is its weighted sum S (diophantine's docstring) and the position
-    p of its final 1, and x = -S * 3^-(n+1) (mod 2^sigma_n).  Levels are built
-    one at a time, as the reader asks.  Each x must be a member by one
-    sigma_n-step walk (solve_vector's predicate), and the solved closing
-    vector must be a member equal to the level's last residue; else
+def _level_classes(n: int) -> list[int]:
+    """Level n's residues (mod 2^sigma_n) in the tree's emission order, read
+    off ptree's cached level without solving each vector: x = -S * 3^-(n+1)
+    (mod 2^sigma_n) for each entry's weighted sum S.  Each x must be a member
+    by one sigma_n-step walk (solve_vector's predicate), and the solved
+    closing vector must be a member equal to the level's last residue; else
     RuntimeError.
     """
-    ptree._check_level(n_max)
-    sums, ends = [5], [1]  # the root (1, 1): S = 3 * 2^0 + 2^1
-    for n in range(1, n_max + 1):
-        if n > 1:
-            sums, ends = _grown(sums, ends, n)
-        sig, mod, _, inv = _level_constants(n)
-        residues = [-s * inv % mod for s in sums]
-        steps = range(sig)
-        for x in residues:
-            t = low = x  # low is min(T^0 .. T^(sigma_n - 1)) once the walk ends
-            for _ in steps:
-                if t < low:
-                    low = t
-                t = (3 * t + 1) >> 1 if t & 1 else t >> 1
-            if not t < x <= low:
-                raise RuntimeError(f"level {n} holds a class {x} that is not a member")
-        closing = solve_vector((1,) * (n + 1) + (0,) * (kappa(n) - n))
-        if not closing.member or closing.x != residues[-1]:
-            raise RuntimeError(
-                f"level {n} closes on {residues[-1]}, but its vector solves to {closing.x}"
-                + ("" if closing.member else ", which is not a member")
-            )
-        yield residues
+    sig, mod, _, inv = _level_constants(n)
+    residues = [-s * inv % mod for s in ptree._tree_level(n)[0]]
+    steps = range(sig)
+    for x in residues:
+        t = low = x  # low is min(T^0 .. T^(sigma_n - 1)) once the walk ends
+        for _ in steps:
+            if t < low:
+                low = t
+            t = (3 * t + 1) >> 1 if t & 1 else t >> 1
+        if not t < x <= low:
+            raise RuntimeError(f"level {n} holds a class {x} that is not a member")
+    closing = solve_vector((1,) * (n + 1) + (0,) * (kappa(n) - n))
+    if not closing.member or closing.x != residues[-1]:
+        raise RuntimeError(
+            f"level {n} closes on {residues[-1]}, but its vector solves to {closing.x}"
+            + ("" if closing.member else ", which is not a member")
+        )
+    return residues
 
 
 def level_residues(n: int) -> tuple[int, ...]:
-    """Ascending residues (mod 2^sigma_n) of the level-n classes, streamed
-    along the tree through levels 1..n."""
-    for residues in _level_stream(n):
-        pass
-    return tuple(sorted(residues))
+    """Ascending residues (mod 2^sigma_n) of the level-n classes, read along
+    the tree; only level n's classes are walked."""
+    ptree._check_level(n)
+    return tuple(sorted(_level_classes(n)))
 
 
 def residue_table(n_max: int) -> list[ResidueBlock]:
     """Stopping-time classes: the trivial sigma = 1, 2 blocks followed by the
-    ascending class list of each level n = 1..n_max, from one stream."""
-    return [
-        ResidueBlock(sigma=1, n=None, residues=(0,)),
-        ResidueBlock(sigma=2, n=None, residues=(1,)),
-    ] + [
-        ResidueBlock(sigma=sigma_n(n), n=n, residues=tuple(sorted(residues)))
-        for n, residues in enumerate(_level_stream(n_max), start=1)
-    ]
+    ascending class list of each level n = 1..n_max."""
+    ptree._check_level(n_max)
+    trivial = [ResidueBlock(1, None, (0,)), ResidueBlock(2, None, (1,))]
+    return trivial + [ResidueBlock(sigma_n(n), n, level_residues(n)) for n in range(1, n_max + 1)]
 
 
 @dataclass(frozen=True)

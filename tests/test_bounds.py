@@ -36,14 +36,14 @@ def _refuses_up_front(name, request):
     rolled = []
     rows = triangle._rows
     spy = lambda max_n: rolled.append(max_n) or rows(max_n)
-    before = ptree._built_level.cache_info()
+    before = ptree._tree_level.cache_info()
     with mock.patch.object(triangle, "_rows", spy):
         t0 = time.perf_counter()
         with pytest.raises(ValueError, match=f"bounded at .*; requested {request}$"):
             call(request)
         elapsed = time.perf_counter() - t0
     assert elapsed < 0.1
-    assert ptree._built_level.cache_info() == before
+    assert ptree._tree_level.cache_info() == before
     assert all(max_n <= deepest for max_n in rolled)
 
 

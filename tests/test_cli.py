@@ -275,8 +275,8 @@ def test_output_is_byte_identical_across_runs_and_jobs():
 def _cleared_level_cache():
     from collatz_stopping import ptree
 
-    ptree._built_level.cache_clear()
-    return ptree._built_level
+    ptree._tree_level.cache_clear()
+    return ptree._tree_level
 
 
 def test_oeis_refusal_builds_no_level(run_cli):
@@ -358,14 +358,14 @@ def test_level_above_the_bound_is_refused_before_building(run_cli, argv, monkeyp
     built, counted, rolled = [], [], []
     monkeypatch.setattr(cli, "solve_vector", built.append)
     monkeypatch.setattr(ladder, "LadderRow", lambda *row: built.append(row))
-    monkeypatch.setattr(ptree, "_extend_level", lambda prev, n: built.append(n))
+    cache = _cleared_level_cache()
+    monkeypatch.setattr(ptree, "_tree_level", lambda n: built.append(n))
     monkeypatch.setattr(verify, "_children", lambda *args: built.append(args))
     rows = triangle._rows
     monkeypatch.setattr(triangle, "_rows", lambda max_n: rolled.append(max_n) or rows(max_n))
     count = lambda k: counted.append(k) or triangle.survivor_counts(k)
     for module in (cli, verify):
         monkeypatch.setattr(module, "survivor_counts", count)
-    cache = _cleared_level_cache()
     code, out, err = run_cli(*argv)
     assert code == 2 and out == ""
     assert err == f"error: {_REFUSED_BEFORE_BUILDING[argv]}\n"
@@ -421,17 +421,14 @@ def test_oeis_residues_stop_at_the_completing_level(run_cli, monkeypatch):
     from collatz_stopping import verify
 
     # 313 = z(1) + ... + z(8): levels 9..14 are never built
-    stream, built = verify._level_stream, []
-
-    def probe(n_max):
-        for n, residues in enumerate(stream(n_max), start=1):
-            built.append(n)
-            yield residues
-
-    monkeypatch.setattr(verify, "_level_stream", probe)
+    cache = _cleared_level_cache()
+    classes, built = verify._level_classes, []
+    probe = lambda n: built.append(n) or classes(n)
+    monkeypatch.setattr(verify, "_level_classes", probe)
     code, out, _ = run_cli("oeis", "A177789", "--terms", "313")
     assert code == 0 and len(out.split()) == 313
     assert built == list(range(1, 9))
+    assert cache.cache_info().currsize == 8
 
 
 # The listings as they were once written: one print() per line and each

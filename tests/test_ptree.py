@@ -1,7 +1,9 @@
+from collections import Counter
+
 import pytest
 
 from collatz_stopping.diophantine import solve_vector
-from collatz_stopping.ladder import kappa
+from collatz_stopping.ladder import d, kappa
 from collatz_stopping.ptree import (
     ROOT,
     VSetEntry,
@@ -16,6 +18,47 @@ from collatz_stopping.ptree import (
     vset_levels,
 )
 from collatz_stopping.triangle import build_triangle, z_from_triangle
+
+
+def reference_extend_level(prev, n):
+    """Level n from level n-1 as first written, steps 1-3 on bit tuples: each
+    vector copied, its final 1 moved left while a 0 precedes it, and h and p
+    counted afresh.  An oracle for ptree's walker."""
+    suffix = (1,) if d(n) == 1 else (0, 1)
+    terminal = (1,) * (n + 1) + (0,) * (kappa(n) - n)
+    raw = []
+    for pi, entry in enumerate(prev):
+        child = entry.vector + suffix
+        raw.append((child, ("step1", pi)))
+        cur = list(child)
+        pos = len(cur) - 1
+        while pos >= 1 and cur[pos - 1] == 0:
+            cur[pos - 1], cur[pos] = 1, 0
+            pos -= 1
+            raw.append((tuple(cur), ("step2", len(raw) - 1)))
+        if raw[-1][0] == terminal:
+            break
+    if raw[-1][0] != terminal:
+        raise RuntimeError(f"level {n} did not close on the all-leading-ones vector")
+    out = []
+    per_h = {}
+    for vec, parent in raw:
+        h = leading_ones(vec)
+        per_h[h] = per_h.get(h, 0) + 1
+        out.append(VSetEntry(vector=vec, n=n, h=h, p=per_h[h], parent=parent))
+    return out
+
+
+def test_walker_equals_the_bit_tuple_oracle_through_level_14():
+    levels = vset_levels(14)
+    expected = [ROOT]
+    assert levels[1] == expected
+    for n in range(2, 15):
+        expected = reference_extend_level(expected, n)
+        # every field: vector, n, h, p and parent
+        assert levels[n] == expected
+        assert phn_counts(n) == dict(Counter(e.h for e in expected))
+    assert generate_vset(14) == expected
 
 
 def test_level_one_is_the_root():
@@ -111,14 +154,14 @@ def test_level_sizes_match_triangle_column_sums(monkeypatch):
         assert len(levels[n]) == z_from_triangle(table, n)
     # back at 14, the cached levels 15 and 16 are refused like any other
     monkeypatch.undo()
-    cached = ptree._built_level.cache_info()
+    cached = ptree._tree_level.cache_info()
     for n in (15, 16):
         for read in (vset_levels, generate_vset, phn_counts):
             with pytest.raises(ValueError, match=rf"n <= 14 \(81117 classes\); requested {n}$"):
                 read(n)
-    assert ptree._built_level.cache_info() == cached
-    # levels 15 and 16 hold about 70 MB that no later test reads
-    ptree._built_level.cache_clear()
+    assert ptree._tree_level.cache_info() == cached
+    # levels 15 and 16 hold about 24 MB that no later test reads
+    ptree._tree_level.cache_clear()
 
 
 def test_lex_tuples_match_fixture(level5_tuples):
@@ -225,11 +268,14 @@ def test_trailing_zeros_helper():
 def test_level_that_does_not_close_raises(monkeypatch):
     from collatz_stopping import ptree
 
-    prev = tuple(generate_vset(3))
-    # a terminal vector one zero longer than any level-4 vector is never emitted
-    monkeypatch.setattr(ptree, "kappa", lambda n: kappa(n) + 1)
-    with pytest.raises(RuntimeError, match="did not close"):
-        ptree._extend_level(prev, 4)
+    extend = ptree._tree_level.__wrapped__
+    # level 4 grown from the root: its one chain stops with the final 1 at 2, not 4
+    monkeypatch.setattr(ptree, "_tree_level", lambda n: ((5,), (1,), (2,)))
+    with pytest.raises(RuntimeError, match="^level 4 did not close on the all-leading-ones vector$"):
+        extend(4)
+    # the oracle refuses the same parent level
+    with pytest.raises(RuntimeError, match="^level 4 did not close on the all-leading-ones vector$"):
+        reference_extend_level([ROOT], 4)
 
 
 def test_returned_levels_are_fresh_copies():

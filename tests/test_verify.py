@@ -235,16 +235,16 @@ def test_verify_range_preconditions():
 
 
 def _forge_level(monkeypatch, n, edit):
-    """Route level n's streamed residues through edit, in every class list."""
+    """Route level n's residues through edit, in every class list."""
     from collatz_stopping import verify
 
-    stream = verify._level_stream
+    classes = verify._level_classes
 
-    def forged(n_max):
-        for level, residues in enumerate(stream(n_max), start=1):
-            yield sorted(edit(set(residues))) if level == n else residues
+    def forged(level):
+        residues = classes(level)
+        return sorted(edit(set(residues))) if level == n else residues
 
-    monkeypatch.setattr(verify, "_level_stream", forged)
+    monkeypatch.setattr(verify, "_level_classes", forged)
 
 
 def test_verify_range_reports_a_dropped_class(monkeypatch):
@@ -325,14 +325,15 @@ def test_verify_range_refuses_levels_above_the_bound_before_building(monkeypatch
     from collatz_stopping import ptree
 
     # verify_range refuses through ptree._check_level, before any level is built
-    ptree._built_level.cache_clear()
-    monkeypatch.setattr(ptree, "_extend_level", lambda prev, n: pytest.fail("level built"))
+    cache = ptree._tree_level
+    cache.cache_clear()
+    monkeypatch.setattr(ptree, "_tree_level", lambda n: pytest.fail("level built"))
     with pytest.raises(ValueError) as refused:
         verify_range(2, 10, 15)
     assert str(refused.value) == (
         "residue levels are bounded at n <= 14 (81117 classes); requested 15"
     )
-    info = ptree._built_level.cache_info()
+    info = cache.cache_info()
     assert info.hits == info.misses == 0
     # the bound is read per call; levels 1..5 hold 1 + 2 + 3 + 7 + 12 classes
     monkeypatch.setattr(ptree, "MAX_RESIDUE_LEVEL", 5)
@@ -372,19 +373,16 @@ def test_level_residues_refuses_a_non_member(monkeypatch):
 def test_stream_equals_the_solver_on_every_entry_in_emission_order():
     from collatz_stopping import verify
 
-    for n, residues in enumerate(verify._level_stream(12), start=1):
+    for n in range(1, 13):
+        residues = verify._level_classes(n)
         assert residues == [solve_vector(e.vector).x for e in generate_vset(n)]
 
 
 def test_sorted_stream_equals_the_oracle_on_the_deepest_levels():
-    from collatz_stopping import ptree, verify
+    from collatz_stopping import verify
 
-    try:
-        streamed = list(verify._level_stream(14))
-        for n in (13, 14):
-            assert tuple(sorted(streamed[n - 1])) == reference_level_residues(n)
-    finally:
-        ptree._built_level.cache_clear()  # levels 13 and 14 hold about 30 MB
+    for n in (13, 14):
+        assert tuple(sorted(verify._level_classes(n))) == reference_level_residues(n)
 
 
 def test_the_stream_solves_one_vector_per_level(monkeypatch):
@@ -422,32 +420,47 @@ def test_a_forged_closing_solution_fails_the_level_certificate(monkeypatch, forg
 
 
 def test_the_stream_walks_every_class(monkeypatch):
-    from collatz_stopping import diophantine, verify
+    from collatz_stopping import diophantine, ptree
     from collatz_stopping.ptree import lex_tuples
 
     # a level-5 candidate that stops earlier, put in place of the first class
     stray = next(v for v in lex_tuples(5) if not solve_vector(v).member)
-    grown = verify._grown
+    level = ptree._tree_level
 
-    def forged(sums, ends, n):
-        out = grown(sums, ends, n)
+    def forged(n):
+        sums, ends, heads = level(n)
         if n == 5:
-            out[0][0] = diophantine._weighted_sum(stray)
-        return out
+            sums = (diophantine._weighted_sum(stray),) + sums[1:]
+        return sums, ends, heads
 
-    monkeypatch.setattr(verify, "_grown", forged)
+    monkeypatch.setattr(ptree, "_tree_level", forged)
     assert len(residue_table(4)) == 6
     refusal = rf"^level 5 holds a class {solve_vector(stray).x} that is not a member$"
     with pytest.raises(RuntimeError, match=refusal):
         residue_table(5)
 
 
-def test_a_level_that_never_closes_is_refused():
-    from collatz_stopping import verify
+def test_a_level_that_never_closes_is_refused(monkeypatch):
+    from collatz_stopping import ptree
 
     # the root grown straight to level 3: its chain ends with 3 leading ones, not 4
+    level = ptree._tree_level
+    level.cache_clear()
+    monkeypatch.setattr(ptree, "_tree_level", lambda n: ((5,), (1,), (2,)) if n == 2 else level(n))
     with pytest.raises(RuntimeError, match="^level 3 did not close on the all-leading-ones vector$"):
-        verify._grown([5], [1], 3)
+        level_residues(3)
+
+
+def test_level_residues_walks_only_its_own_level(monkeypatch):
+    from collatz_stopping import verify
+
+    # a level's classes are walked with its constants: only level 14's here
+    walked = []
+    constants = verify._level_constants
+    monkeypatch.setattr(verify, "_level_constants", lambda n: walked.append(n) or constants(n))
+    residues = level_residues(14)
+    assert walked == [14]
+    assert len(residues) == class_counts(14)[-1] == 51_033
 
 
 def test_verify_range_one_worker_scans_the_range_in_one_call(monkeypatch):

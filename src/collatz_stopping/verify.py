@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from itertools import repeat
 
 from .diophantine import _level_constants, solve_vector
 from .ladder import _refuse_above, kappa, sigma_n
@@ -82,25 +83,64 @@ class ResidueBlock:
         return 1 << self.sigma
 
 
+WALK_LANES = 1024  # classes per packed walk: about 5 KB per int at sigma_14
+
+
+def _lane_bytes(sig: int) -> int:
+    """Lane width W of the walk at sig, in bytes: bit_length(3^(sig+1))
+    rounded up.  T(t) + 1 <= 3(t + 1)/2 gives T^j(x) < 3^sig for x < 2^sig
+    and j <= sig, so 3t + 1 < 3^(sig+1) fits in a lane, and t leaves the
+    lane's top bit free as the comparison's guard."""
+    return ((3 ** (sig + 1)).bit_length() + 7) >> 3
+
+
+def _first_nonmember(xs: list[int], sig: int) -> int | None:
+    """Index of the first x in xs (each 0 <= x < 2^sig) that is not a member
+    at sig, or None: a member has T^sig(x) < x <= min(T^0 .. T^(sig-1)).
+
+    Every x is walked sig steps, WALK_LANES at a time packed into one int of
+    W-bit lanes (SIMD within a register; W from _lane_bytes).  One step
+    serves all lanes: 2t + 1 is added where a lane's low bit is set, then the
+    int is halved; every lane is even before the shift, so no bit crosses
+    into the next lane.  A lane's guard bit survives (t | guard) - x exactly
+    where t >= x.
+    """
+    size = _lane_bytes(sig)
+    w = size * 8
+    fill = (1 << w) - 1
+    for start in range(0, len(xs), WALK_LANES):
+        chunk = xs[start : start + WALK_LANES]
+        low = int.from_bytes(b"\1".ljust(size, b"\0") * len(chunk), "little")
+        top = low << (w - 1)  # the guard bits
+        x = int.from_bytes(
+            b"".join(map(int.to_bytes, chunk, repeat(size), repeat("little"))), "little"
+        )
+        t, ok = x, top  # ok keeps the guard of each lane still a member
+        for _ in range(sig):
+            ok &= (t | top) - x  # t >= x before step sig
+            t = (t + (((t << 1) | low) & ((t & low) * fill))) >> 1
+        ok &= ((t | top) - x) ^ top  # t < x at step sig
+        if ok != top:
+            bad = top ^ ok
+            return start + ((bad & -bad).bit_length() - 1) // w
+    return None
+
+
 def _level_classes(n: int) -> list[int]:
     """Level n's residues (mod 2^sigma_n) in the tree's emission order, read
     off ptree's cached level without solving each vector: x = -S * 3^-(n+1)
-    (mod 2^sigma_n) for each entry's weighted sum S.  Each x must be a member
-    by one sigma_n-step walk (solve_vector's predicate), and the solved
-    closing vector must be a member equal to the level's last residue; else
-    RuntimeError.
+    (mod 2^sigma_n) for each entry's weighted sum S.  Every x is still walked
+    sigma_n steps and must be a member (solve_vector's predicate), by the
+    lane walk of _first_nonmember: a whole chunk of classes per big-integer
+    step.  The solved closing vector must be a member equal to the level's
+    last residue.  Either failure raises RuntimeError, a non-member naming
+    the first offender in emission order.
     """
     sig, mod, _, inv = _level_constants(n)
     residues = [-s * inv % mod for s in ptree._tree_level(n)[0]]
-    steps = range(sig)
-    for x in residues:
-        t = low = x  # low is min(T^0 .. T^(sigma_n - 1)) once the walk ends
-        for _ in steps:
-            if t < low:
-                low = t
-            t = (3 * t + 1) >> 1 if t & 1 else t >> 1
-        if not t < x <= low:
-            raise RuntimeError(f"level {n} holds a class {x} that is not a member")
+    bad = _first_nonmember(residues, sig)
+    if bad is not None:
+        raise RuntimeError(f"level {n} holds a class {residues[bad]} that is not a member")
     closing = solve_vector((1,) * (n + 1) + (0,) * (kappa(n) - n))
     if not closing.member or closing.x != residues[-1]:
         raise RuntimeError(

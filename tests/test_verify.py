@@ -1,3 +1,6 @@
+import random
+from functools import lru_cache
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -23,6 +26,26 @@ def reference_level_residues(n):
     if not all(s.member for s in solutions):
         raise RuntimeError(f"level {n} holds a vector whose solution is not a member")
     return tuple(sorted(s.x for s in solutions))
+
+
+def reference_trajectory(x, sigma):
+    """[T^0(x), .., T^sigma(x)], one scalar step at a time."""
+    walk = [x]
+    for _ in range(sigma):
+        x = (3 * x + 1) >> 1 if x & 1 else x >> 1
+        walk.append(x)
+    return walk
+
+
+def reference_first_nonmember(xs, sigma):
+    """The per-class walk of verify._level_classes as first written: index of
+    the first x in xs with not T^sigma(x) < x <= min(T^0 .. T^(sigma-1)), or
+    None.  An oracle for the lane walk."""
+    for i, x in enumerate(xs):
+        *head, last = reference_trajectory(x, sigma)
+        if not last < x <= min(head):
+            return i
+    return None
 
 
 def reference_classes(n_max):
@@ -420,24 +443,96 @@ def test_a_forged_closing_solution_fails_the_level_certificate(monkeypatch, forg
 
 
 def test_the_stream_walks_every_class(monkeypatch):
-    from collatz_stopping import diophantine, ptree
+    from collatz_stopping import diophantine, ptree, verify
     from collatz_stopping.ptree import lex_tuples
 
-    # a level-5 candidate that stops earlier, put in place of the first class
-    stray = next(v for v in lex_tuples(5) if not solve_vector(v).member)
+    # non-member candidates in place of tree classes: level 5's first class,
+    # then level 12's in a later chunk; with two, the first in emission order
+    # is named, whether they are walked in one chunk or two
+    lanes = verify.WALK_LANES
+    cases = [
+        (5, [0]),
+        (12, [lanes + 7]),
+        (12, [2 * lanes + 3, lanes + 9]),
+        (12, [lanes + 9, lanes + 2]),
+    ]
     level = ptree._tree_level
+    for n, where in cases:
+        strays = [v for v in lex_tuples(n) if not solve_vector(v).member][: len(where)]
+        sums = list(level(n)[0])
+        for i, v in zip(where, strays):
+            sums[i] = diophantine._weighted_sum(v)
+        forged = lambda m, n=n, sums=tuple(sums): (sums, *level(m)[1:]) if m == n else level(m)
+        first = solve_vector(strays[where.index(min(where))]).x
+        refusal = rf"^level {n} holds a class {first} that is not a member$"
+        with monkeypatch.context() as patch:
+            patch.setattr(ptree, "_tree_level", forged)
+            assert len(residue_table(n - 1)) == n + 1
+            with pytest.raises(RuntimeError, match=refusal):
+                residue_table(n)
 
-    def forged(n):
-        sums, ends, heads = level(n)
-        if n == 5:
-            sums = (diophantine._weighted_sum(stray),) + sums[1:]
-        return sums, ends, heads
 
-    monkeypatch.setattr(ptree, "_tree_level", forged)
-    assert len(residue_table(4)) == 6
-    refusal = rf"^level 5 holds a class {solve_vector(stray).x} that is not a member$"
-    with pytest.raises(RuntimeError, match=refusal):
-        residue_table(5)
+@lru_cache(maxsize=None)
+def _members(sigma):
+    """Up to eight distinct members at sigma, solved from random candidate
+    vectors of the level whose sigma_n it is, and confirmed by the oracle;
+    none when sigma is no level's sigma_n."""
+    levels = [n for n in range(1, sigma) if sigma_n(n) == sigma]
+    if not levels:
+        return ()
+    n, rng, found = levels[0], random.Random(sigma), set()
+    for _ in range(64):
+        tail = [0] * (kappa(n) - n) + [1] * (n - 1)
+        rng.shuffle(tail)
+        x = solve_vector((1, 1, *tail)).x
+        if reference_first_nonmember([x], sigma) is None:
+            found.add(x)
+    return tuple(sorted(found))[:8]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    data=st.data(),
+    sigma=st.integers(1, 45),
+    length=st.sampled_from(["empty", "one", "chunk-1", "chunk", "chunk+1"]),
+)
+def test_lane_walk_names_the_first_nonmember_like_the_oracle(data, sigma, length):
+    from collatz_stopping import verify
+
+    # lanes pass 64 bits from sigma 40; the lengths end a chunk early, on
+    # its last lane and one lane into the next
+    lanes = verify.WALK_LANES
+    sizes = {"empty": 0, "one": 1, "chunk-1": lanes - 1, "chunk": lanes, "chunk+1": lanes + 1}
+    size = sizes[length]
+    rng = random.Random(data.draw(st.integers(0, 2**32)))
+    members = _members(sigma)
+    pick = (lambda: rng.choice(members)) if members else (lambda: rng.randrange(1 << sigma))
+    xs = [pick() for _ in range(size)]
+    forged = data.draw(st.lists(st.integers(0, size - 1), max_size=4)) if size else []
+    for i in forged:  # early stoppers, late stoppers and both ends of the lane
+        xs[i] = data.draw(st.sampled_from([0, (1 << sigma) - 1, rng.randrange(1 << sigma)]))
+        if reference_first_nonmember([xs[i]], sigma) is None:
+            xs[i] = 0
+    expected = reference_first_nonmember(xs, sigma)
+    assert verify._first_nonmember(xs, sigma) == expected
+    if members:
+        assert expected == (min(forged) if forged else None)
+
+
+@pytest.mark.parametrize("sigma", range(1, 61))
+def test_lane_width_holds_every_step_of_the_walk(sigma):
+    from collatz_stopping import verify
+
+    # T(t) + 1 <= 3(t + 1)/2, so T^j(x) < 3^sigma for x < 2^sigma, j <= sigma;
+    # 2^sigma - 1 reaches 3^sigma - 1 at j = sigma, the bound's tightest case
+    rng = random.Random(sigma)
+    xs = [(1 << sigma) - 1] + [rng.randrange(1, 1 << sigma, 2) for _ in range(200)]
+    top = max(max(reference_trajectory(x, sigma)) for x in xs)
+    assert top == 3**sigma - 1
+    # so 3t + 1 fits in a lane, and t leaves the lane's top bit to the guard
+    w = 8 * verify._lane_bytes(sigma)
+    assert 3 * top + 1 < 1 << w and top < 1 << (w - 1)
+    assert verify._first_nonmember(xs, sigma) == reference_first_nonmember(xs, sigma)
 
 
 def test_a_level_that_never_closes_is_refused(monkeypatch):

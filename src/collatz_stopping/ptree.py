@@ -19,6 +19,7 @@ lists read it.  Every public reader refuses levels above MAX_RESIDUE_LEVEL
 
 from __future__ import annotations
 
+from collections import Counter
 from functools import lru_cache
 from itertools import combinations
 from math import comb
@@ -155,10 +156,7 @@ def generate_vset(n: int) -> list[VSetEntry]:
 def phn_counts(n: int) -> dict[int, int]:
     """Histogram of leading-ones counts h over the level-n set."""
     _check_level(n)
-    counts: dict[int, int] = {}
-    for h in _tree_level(n)[2]:
-        counts[h] = counts.get(h, 0) + 1
-    return counts
+    return dict(Counter(_tree_level(n)[2]))
 
 
 def ln_count(n: int) -> int:

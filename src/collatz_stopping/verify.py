@@ -83,7 +83,22 @@ class ResidueBlock:
         return 1 << self.sigma
 
 
-WALK_LANES = 1024  # classes per packed walk: about 5 KB per int at sigma_14
+WALK_LANES = 1024  # lanes per packed int: about 5 KB in the walk at sigma_14, 10 KB in the scan
+
+
+def _lane_masks(size: int, lanes: int) -> tuple[int, int, int]:
+    """Masks for lanes of size bytes packed into one int: each lane's low
+    bit, each lane's top bit (the guard) and one lane's W bits (the fill)."""
+    low = int.from_bytes(b"\1".ljust(size, b"\0") * lanes, "little")
+    w = 8 * size
+    return low, low << (w - 1), (1 << w) - 1
+
+
+def _step(t: int, low: int, fill: int) -> int:
+    """T on every lane of t at once: 2t + 1 is added where a lane's low bit
+    is set, then the int is halved; every lane is even before the shift, so
+    no bit crosses into the next lane."""
+    return (t + (((t << 1) | low) & ((t & low) * fill))) >> 1
 
 
 def _lane_bytes(sig: int) -> int:
@@ -99,30 +114,25 @@ def _first_nonmember(xs: list[int], sig: int) -> int | None:
     at sig, or None: a member has T^sig(x) < x <= min(T^0 .. T^(sig-1)).
 
     Every x is walked sig steps, WALK_LANES at a time packed into one int of
-    W-bit lanes (SIMD within a register; W from _lane_bytes).  One step
-    serves all lanes: 2t + 1 is added where a lane's low bit is set, then the
-    int is halved; every lane is even before the shift, so no bit crosses
-    into the next lane.  A lane's guard bit survives (t | guard) - x exactly
-    where t >= x.
+    W-bit lanes (SIMD within a register; W from _lane_bytes), one _step for
+    all lanes.  A lane's guard bit survives (t | guard) - x exactly where
+    t >= x.
     """
     size = _lane_bytes(sig)
-    w = size * 8
-    fill = (1 << w) - 1
     for start in range(0, len(xs), WALK_LANES):
         chunk = xs[start : start + WALK_LANES]
-        low = int.from_bytes(b"\1".ljust(size, b"\0") * len(chunk), "little")
-        top = low << (w - 1)  # the guard bits
+        low, top, fill = _lane_masks(size, len(chunk))
         x = int.from_bytes(
             b"".join(map(int.to_bytes, chunk, repeat(size), repeat("little"))), "little"
         )
         t, ok = x, top  # ok keeps the guard of each lane still a member
         for _ in range(sig):
             ok &= (t | top) - x  # t >= x before step sig
-            t = (t + (((t << 1) | low) & ((t & low) * fill))) >> 1
+            t = _step(t, low, fill)
         ok &= ((t | top) - x) ^ top  # t < x at step sig
         if ok != top:
             bad = top ^ ok
-            return start + ((bad & -bad).bit_length() - 1) // w
+            return start + ((bad & -bad).bit_length() - 1) // (8 * size)
     return None
 
 
@@ -212,26 +222,83 @@ def _prediction_table(n_max: int) -> bytearray:
     return table
 
 
+GROUP_STRIDE = 1 << 8  # a scan group's lanes: one residue mod 2^8, 8 parities shared
+
+
+def _scan_bytes(budget: int, hi: int) -> int:
+    """Lane width of the scan in bytes: bit_length(3^(budget+1) * hi) + 1
+    rounded up.  T(t) + 1 <= 3(t + 1)/2 keeps t and 3t + 1 below
+    3^(budget+1) * hi for x < hi and j <= budget, so a lane never carries
+    and its top bit stays free as the comparison's guard."""
+    return ((3 ** (budget + 1) * hi).bit_length() + 8) >> 3
+
+
 def _scan_block(lo: int, hi: int, table: bytearray) -> tuple:
+    """Counts by simulated stopping time (None: beyond the table) and the
+    ascending mismatches of every x in [lo, hi) against table.
+
+    [lo, hi) is cut into chunks of GROUP_STRIDE * WALK_LANES integers.  In a
+    chunk, group x0 holds x0 + i * GROUP_STRIDE, packed into one int of
+    W-bit lanes (W from _scan_bytes) as x0 * low + index, and walked with
+    _step until every lane has stopped or the budget, one step past the
+    table's last sigma, is spent.  Its lanes share their first 8 parities,
+    so a group whose residue stops early stops together.  Byte 0 of each
+    lane counts the steps it stayed at or above x.  The simulated times are
+    compared with the group's table bytes and counted in C; only a group
+    that differs is looked at lane by lane.  Memory is bounded by one
+    group's int, about 10 KB, whatever the range.
+    """
     mask = len(table) - 1
     budget = len(table).bit_length()  # one step past the table's last sigma
-    steps = range(1, budget + 1)
-    counts = [0] * (budget + 1)  # by simulated stopping time, 0: no stop
+    stride = GROUP_STRIDE
+    span = stride * WALK_LANES
+    size = _scan_bytes(budget, hi)
+    w = 8 * size
+    lanes = min(WALK_LANES, len(range(lo, hi, stride)))
+    low, top, fill = _lane_masks(size, lanes)
+    index = int.from_bytes(
+        b"".join(i.to_bytes(size, "little") for i in range(0, stride * lanes, stride)), "little"
+    )
+    # v steps at or above x: stopped at v + 1; a stop at the budget is beyond
+    # the table, like no stop at all, and both read 0
+    stopped = bytes(range(1, budget)) + bytes(257 - budget)
+    counts = [0] * budget  # by simulated stopping time, 0: beyond the table
     mismatches = []
-    for x in range(lo, hi):
-        t = x
-        for s in steps:
-            t = (3 * t + 1) >> 1 if t & 1 else t >> 1
-            if t < x:
-                break
-        else:
-            s = 0
-        predicted = table[x & mask]
-        # a stop one step past the table is beyond it, like no stop at all
-        if predicted != s and (predicted or s != budget):
-            mismatches.append((x, predicted or None, s or None))
-        counts[s] += 1
-    counts[0] += counts.pop()
+    for chunk in range(lo, hi, span):
+        end = min(hi, chunk + span)
+        found = []
+        for x0 in range(chunk, min(end, chunk + stride)):
+            n = len(range(x0, end, stride))
+            if n == lanes:
+                ones, base, guard = low, index, top
+            else:  # the range's last chunk: a shorter group
+                cut = (1 << (w * n)) - 1
+                ones, base, guard = low & cut, index & cut, top & cut
+            x = x0 * ones + base
+            t, live, steps = x, guard, 0
+            for walked in range(1, budget + 1):
+                t = _step(t, ones, fill)
+                live &= (t | guard) - x  # guard kept while t >= x
+                if not live:
+                    break
+                steps += live >> (w - 1)
+            raw = steps.to_bytes(n * size, "little")[::size]
+            sims = raw.translate(stopped)
+            start = x0 & mask
+            pred = table[start : start + stride * n : stride]
+            if len(pred) < n:  # the lanes run past the table's end: it repeats
+                head = start % stride
+                period = table[head : head + stride * n : stride]
+                pred = (pred + period * (n // len(period) + 1))[:n]
+            for s in range(min(walked + 1, budget)):
+                counts[s] += sims.count(s)
+            if sims != pred:
+                for i, (p, s) in enumerate(zip(pred, sims)):
+                    if p != s:
+                        v = raw[i]
+                        found.append((x0 + i * stride, p or None, v + 1 if v < budget else None))
+        found.sort()
+        mismatches += found
     return {s or None: c for s, c in enumerate(counts) if c}, mismatches
 
 
@@ -250,7 +317,10 @@ def verify_range(
     n_max 9, 16 MB at n_max 14.  Simulation runs with budget
     sigma_n(n_max) + 1; x that do not stop within the table horizon are
     counted as beyond_table, not as mismatches (they must then lie in no
-    class at all).  The range is scanned in one call, or cut into one
+    class at all).  Every x is simulated and compared with its table byte by
+    _scan_block's lane walk: WALK_LANES integers of one residue mod
+    GROUP_STRIDE per big-integer step, mismatches in ascending x.  The range
+    is scanned in one call, or cut into one
     contiguous share per worker process, at most
     min(jobs, ceil(width / BLOCK_SIZE), CPUs) of them, each with its own table;
     shares merge in ascending order, so every jobs setting gives one report.

@@ -11,6 +11,8 @@ from collatz_stopping.ladder import kappa, sigma_n
 from collatz_stopping.ptree import generate_vset
 from collatz_stopping.triangle import build_triangle, class_counts, w, z_from_triangle
 from collatz_stopping.verify import (
+    GROUP_STRIDE,
+    WALK_LANES,
     VerificationReport,
     level_residues,
     residue_table,
@@ -323,6 +325,68 @@ def test_prediction_table_holds_each_level_its_triangle_share(n_max):
 )
 def test_verify_range_agrees_with_the_reference_scan(lo, width, n_max):
     assert verify_range(lo, lo + width, n_max) == reference_report(lo, lo + width, n_max)
+
+
+CHUNK = GROUP_STRIDE * WALK_LANES  # integers the scan walks per chunk
+
+
+@pytest.mark.parametrize(
+    "lo, width, n_max",
+    [
+        ((1 << 40) + 3, CHUNK + 37, 4),
+        ((1 << 33) + 5, 3000, 1),
+        (2, 5000, 9),
+        ((1 << 64) + 11, 3000, 6),
+        ((5 << 20) - 900, 6000, 12),
+        ((1 << 40) + 7, 0, 9),
+    ],
+    ids=["wider-than-a-chunk", "table-shorter-than-stride", "from-2", "lanes-past-64-bits",
+         "lanes-past-the-table-end", "empty"],
+)
+def test_scan_edges_agree_with_the_reference_scan(lo, width, n_max):
+    # past the Hypothesis widths: a second, shorter chunk that starts off the
+    # stride; n_max 1's 16-byte table; lanes wider than 8 bytes; and at n_max
+    # 12 (a 2^20-byte table) groups whose lanes wrap past the table's end
+    assert verify_range(lo, lo + width, n_max) == reference_report(lo, lo + width, n_max)
+
+
+@pytest.mark.parametrize(
+    "level, edit, n_max, residue",
+    [(2, lambda rs: rs - {23} | {7}, 2, 7), (1, lambda rs: rs | {11}, 1, 11)],
+    ids=["23-dropped-7-added", "11-added"],
+)
+def test_forged_table_mismatches_stay_ascending_across_groups_and_chunks(
+    monkeypatch, level, edit, n_max, residue
+):
+    # every x = residue (mod 16) is a mismatch, in 16 groups of each chunk:
+    # x = 23 (mod 32) stops at 5 in no class; x = 7 (mod 32) is forged into
+    # one and does not stop at 5; x = 11 (mod 16) is forged to stop at 4,
+    # and x = 11 (mod 32) stops at 5, one step past n_max 1's table
+    _forge_level(monkeypatch, level, edit)
+    lo = (1 << 36) + 101
+    hi = lo + CHUNK + 5000
+    report = verify_range(lo, hi, n_max)
+    assert report == reference_report(lo, hi, n_max)
+    xs = [x for x, _, _ in report.mismatches]
+    assert xs == list(range(lo + (residue - lo) % 16, hi, 16))
+    assert {(x - lo) // CHUNK for x in xs} == {0, 1}
+    assert len({x % GROUP_STRIDE for x in xs}) == GROUP_STRIDE // 16
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), budget=st.integers(1, 25), hi=st.integers(2, 1 << 70))
+def test_scan_lane_width_holds_every_step(data, budget, hi):
+    from collatz_stopping import verify
+
+    # T(t) + 1 <= 3(t + 1)/2: for x < hi, every 3t + 1 the scan adds before
+    # step budget stays below 3^(budget+1) * hi, and so does t itself
+    bound = 3 ** (budget + 1) * hi
+    xs = [hi - 1, *data.draw(st.lists(st.integers(0, hi - 1), max_size=20))]
+    for x in xs:
+        *head, last = reference_trajectory(x, budget)
+        assert max(3 * t + 1 for t in head) < bound and last < bound
+    # so a lane holds 3t + 1 and leaves its top bit to the guard
+    assert bound < 1 << (8 * verify._scan_bytes(budget, hi) - 1)
 
 
 @pytest.mark.parametrize("jobs", [1, 2])

@@ -83,30 +83,35 @@ class ResidueBlock:
         return 1 << self.sigma
 
 
-WALK_LANES = 1024  # lanes per packed int: about 5 KB in the walk at sigma_14, 10 KB in the scan
+WALK_LANES = 1024  # lanes per packed int: 5 KB walking sigma_14, 8 KB scanning near 2^48
 
 
-def _lane_masks(size: int, lanes: int) -> tuple[int, int, int]:
+def _lane_masks(size: int, lanes: int) -> tuple[int, int]:
     """Masks for lanes of size bytes packed into one int: each lane's low
-    bit, each lane's top bit (the guard) and one lane's W bits (the fill)."""
+    bit and each lane's top bit (the guard)."""
     low = int.from_bytes(b"\1".ljust(size, b"\0") * lanes, "little")
-    w = 8 * size
-    return low, low << (w - 1), (1 << w) - 1
+    return low, low << (8 * size - 1)
 
 
-def _step(t: int, low: int, fill: int) -> int:
-    """T on every lane of t at once: 2t + 1 is added where a lane's low bit
-    is set, then the int is halved; every lane is even before the shift, so
-    no bit crosses into the next lane."""
-    return (t + (((t << 1) | low) & ((t & low) * fill))) >> 1
+def _step(t: int, low: int, w: int) -> int:
+    """T on every lane of t at once, lanes w bits wide: 2t + 1 is added
+    where a lane's low bit is set, then the int is halved.  (odd << w) - odd
+    fills every odd lane's w bits without a multiply; every lane is even
+    before the shift, so no bit crosses into the next lane."""
+    odd = t & low
+    return (t + (((t << 1) | low) & ((odd << w) - odd))) >> 1
 
 
-def _lane_bytes(sig: int) -> int:
-    """Lane width W of the walk at sig, in bytes: bit_length(3^(sig+1))
-    rounded up.  T(t) + 1 <= 3(t + 1)/2 gives T^j(x) < 3^sig for x < 2^sig
-    and j <= sig, so 3t + 1 < 3^(sig+1) fits in a lane, and t leaves the
-    lane's top bit free as the comparison's guard."""
-    return ((3 ** (sig + 1)).bit_length() + 7) >> 3
+def _lane_bytes(steps: int, hi: int) -> int:
+    """Lane width W, in whole bytes of bit_length(B), B = 3^steps * hi >>
+    (steps - 1), for walking steps steps from any 0 <= x < hi.
+
+    T(t) + 1 <= 3(t + 1)/2 gives T^j(x) + 1 <= (3/2)^j * hi.  Each 3t + 1 is
+    added before a step j + 1 <= steps, so 3t + 3 <= 3^steps * hi / 2^(steps-1)
+    and 3t + 1 < B < 2^W: no lane carries into the next.  Up to j = steps,
+    2t + 2 <= 3^steps * hi / 2^(steps-1), so 2t < B and t < 2^(W-1): the
+    lane's top bit stays free as the guard of the t >= x test."""
+    return ((3**steps * hi >> (steps - 1)).bit_length() + 7) >> 3
 
 
 def _first_nonmember(xs: list[int], sig: int) -> int | None:
@@ -114,25 +119,26 @@ def _first_nonmember(xs: list[int], sig: int) -> int | None:
     at sig, or None: a member has T^sig(x) < x <= min(T^0 .. T^(sig-1)).
 
     Every x is walked sig steps, WALK_LANES at a time packed into one int of
-    W-bit lanes (SIMD within a register; W from _lane_bytes), one _step for
-    all lanes.  A lane's guard bit survives (t | guard) - x exactly where
-    t >= x.
+    W-bit lanes (SIMD within a register; W = _lane_bytes(sig, 2^sig)), one
+    _step for all lanes.  Since t < 2^(W-1), a lane of t + (guard - x) keeps
+    its guard bit exactly where t >= x, and guard - x is taken once a chunk.
     """
-    size = _lane_bytes(sig)
+    size = _lane_bytes(sig, 1 << sig)
+    w = 8 * size
     for start in range(0, len(xs), WALK_LANES):
         chunk = xs[start : start + WALK_LANES]
-        low, top, fill = _lane_masks(size, len(chunk))
+        low, top = _lane_masks(size, len(chunk))
         x = int.from_bytes(
             b"".join(map(int.to_bytes, chunk, repeat(size), repeat("little"))), "little"
         )
-        t, ok = x, top  # ok keeps the guard of each lane still a member
+        t, ok, below = x, top, top - x  # ok keeps the guard of each lane still a member
         for _ in range(sig):
-            ok &= (t | top) - x  # t >= x before step sig
-            t = _step(t, low, fill)
-        ok &= ((t | top) - x) ^ top  # t < x at step sig
+            ok &= t + below  # t >= x before step sig
+            t = _step(t, low, w)
+        ok &= (t + below) ^ top  # t < x at step sig
         if ok != top:
             bad = top ^ ok
-            return start + ((bad & -bad).bit_length() - 1) // (8 * size)
+            return start + ((bad & -bad).bit_length() - 1) // w
     return None
 
 
@@ -225,37 +231,31 @@ def _prediction_table(n_max: int) -> bytearray:
 GROUP_STRIDE = 1 << 8  # a scan group's lanes: one residue mod 2^8, 8 parities shared
 
 
-def _scan_bytes(budget: int, hi: int) -> int:
-    """Lane width of the scan in bytes: bit_length(3^(budget+1) * hi) + 1
-    rounded up.  T(t) + 1 <= 3(t + 1)/2 keeps t and 3t + 1 below
-    3^(budget+1) * hi for x < hi and j <= budget, so a lane never carries
-    and its top bit stays free as the comparison's guard."""
-    return ((3 ** (budget + 1) * hi).bit_length() + 8) >> 3
-
-
 def _scan_block(lo: int, hi: int, table: bytearray) -> tuple:
     """Counts by simulated stopping time (None: beyond the table) and the
     ascending mismatches of every x in [lo, hi) against table.
 
     [lo, hi) is cut into chunks of GROUP_STRIDE * WALK_LANES integers.  In a
     chunk, group x0 holds x0 + i * GROUP_STRIDE, packed into one int of
-    W-bit lanes (W from _scan_bytes) as x0 * low + index, and walked with
-    _step until every lane has stopped or the budget, one step past the
-    table's last sigma, is spent.  Its lanes share their first 8 parities,
-    so a group whose residue stops early stops together.  Byte 0 of each
-    lane counts the steps it stayed at or above x.  The simulated times are
-    compared with the group's table bytes and counted in C; only a group
-    that differs is looked at lane by lane.  Memory is bounded by one
-    group's int, about 10 KB, whatever the range.
+    W-bit lanes (W = _lane_bytes(budget, hi)) as x0 * low + index, and walked
+    with _step until every lane has stopped or the budget, one step past the
+    table's last sigma, is spent.  t >= x is read off the guard bits of
+    t + below, below = guard - x taken once a group.  Its lanes share their
+    first 8 parities, so a group whose residue stops early stops together.
+    Byte 0 of each lane counts the steps it stayed at or above x.  The
+    simulated times are compared with the group's table bytes and counted
+    in C; only a group that differs is looked at lane by lane.  Memory is
+    bounded by one group's int, about 8 KB near hi = 2^48, whatever the
+    range's width.
     """
     mask = len(table) - 1
     budget = len(table).bit_length()  # one step past the table's last sigma
     stride = GROUP_STRIDE
     span = stride * WALK_LANES
-    size = _scan_bytes(budget, hi)
+    size = _lane_bytes(budget, hi)
     w = 8 * size
     lanes = min(WALK_LANES, len(range(lo, hi, stride)))
-    low, top, fill = _lane_masks(size, lanes)
+    low, top = _lane_masks(size, lanes)
     index = int.from_bytes(
         b"".join(i.to_bytes(size, "little") for i in range(0, stride * lanes, stride)), "little"
     )
@@ -275,10 +275,10 @@ def _scan_block(lo: int, hi: int, table: bytearray) -> tuple:
                 cut = (1 << (w * n)) - 1
                 ones, base, guard = low & cut, index & cut, top & cut
             x = x0 * ones + base
-            t, live, steps = x, guard, 0
+            t, live, steps, below = x, guard, 0, guard - x
             for walked in range(1, budget + 1):
-                t = _step(t, ones, fill)
-                live &= (t | guard) - x  # guard kept while t >= x
+                t = _step(t, ones, w)
+                live &= t + below  # guard kept while t >= x
                 if not live:
                     break
                 steps += live >> (w - 1)
@@ -320,10 +320,10 @@ def verify_range(
     class at all).  Every x is simulated and compared with its table byte by
     _scan_block's lane walk: WALK_LANES integers of one residue mod
     GROUP_STRIDE per big-integer step, mismatches in ascending x.  The range
-    is scanned in one call, or cut into one
-    contiguous share per worker process, at most
-    min(jobs, ceil(width / BLOCK_SIZE), CPUs) of them, each with its own table;
-    shares merge in ascending order, so every jobs setting gives one report.
+    is scanned in one call, or cut into one contiguous share per worker
+    process, at most min(jobs, ceil(width / BLOCK_SIZE), CPUs) of them, each
+    with its own table; shares merge in ascending order, so every jobs
+    setting gives one report.
     """
     if x_lo < 2:
         raise ValueError(f"x_lo must be >= 2, got {x_lo}")

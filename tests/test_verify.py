@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from collatz_stopping.core import forward_map, stopping_time
+from collatz_stopping.core import forward_map, stopping_time, t_step
 from collatz_stopping.diophantine import solve_vector
 from collatz_stopping.ladder import kappa, sigma_n
 from collatz_stopping.ptree import generate_vset
@@ -328,6 +328,9 @@ def test_verify_range_agrees_with_the_reference_scan(lo, width, n_max):
 
 
 CHUNK = GROUP_STRIDE * WALK_LANES  # integers the scan walks per chunk
+# the least c * 2^17 whose budget-17 (n_max 9) lanes need 9 bytes, not 8:
+# its x = c * 2^17 - 1 adds 3t + 1 = 2c * 3^17 - 2 >= 2^64
+NINE_BYTE_HI = -(-(1 << 63) // 3**17) << 17
 
 
 @pytest.mark.parametrize(
@@ -339,15 +342,25 @@ CHUNK = GROUP_STRIDE * WALK_LANES  # integers the scan walks per chunk
         ((1 << 64) + 11, 3000, 6),
         ((5 << 20) - 900, 6000, 12),
         ((1 << 40) + 7, 0, 9),
+        (NINE_BYTE_HI - 3000, 3000, 9),
     ],
     ids=["wider-than-a-chunk", "table-shorter-than-stride", "from-2", "lanes-past-64-bits",
-         "lanes-past-the-table-end", "empty"],
+         "lanes-past-the-table-end", "empty", "first-nine-byte-lanes"],
 )
 def test_scan_edges_agree_with_the_reference_scan(lo, width, n_max):
     # past the Hypothesis widths: a second, shorter chunk that starts off the
-    # stride; n_max 1's 16-byte table; lanes wider than 8 bytes; and at n_max
-    # 12 (a 2^20-byte table) groups whose lanes wrap past the table's end
+    # stride; n_max 1's 16-byte table; lanes wider than 8 bytes; at n_max 12
+    # (a 2^20-byte table) groups whose lanes wrap past the table's end; and a
+    # window whose last x needs the ninth byte that its hi first brings
     assert verify_range(lo, lo + width, n_max) == reference_report(lo, lo + width, n_max)
+
+
+def test_nine_byte_hi_is_where_the_scan_lanes_widen():
+    from collatz_stopping import verify
+
+    assert verify._lane_bytes(17, NINE_BYTE_HI - (1 << 17)) == 8
+    assert verify._lane_bytes(17, NINE_BYTE_HI) == 9
+    assert 3 * reference_trajectory(NINE_BYTE_HI - 1, 17)[-2] + 1 >= 1 << 64
 
 
 @pytest.mark.parametrize(
@@ -374,19 +387,23 @@ def test_forged_table_mismatches_stay_ascending_across_groups_and_chunks(
 
 
 @settings(max_examples=60, deadline=None)
-@given(data=st.data(), budget=st.integers(1, 25), hi=st.integers(2, 1 << 70))
-def test_scan_lane_width_holds_every_step(data, budget, hi):
+@given(data=st.data(), steps=st.integers(1, 25), c=st.integers(1, 1 << 60))
+def test_scan_lane_width_holds_every_step(data, steps, c):
     from collatz_stopping import verify
 
-    # T(t) + 1 <= 3(t + 1)/2: for x < hi, every 3t + 1 the scan adds before
-    # step budget stays below 3^(budget+1) * hi, and so does t itself
-    bound = 3 ** (budget + 1) * hi
+    # T(t) + 1 <= 3(t + 1)/2, and x = c * 2^steps - 1 attains it at every
+    # step, T^j(x) = c * 3^j * 2^(steps-j) - 1: no x < hi = c * 2^steps adds
+    # a 3t + 1 above its 2c * 3^steps - 2
+    hi = c << steps
     xs = [hi - 1, *data.draw(st.lists(st.integers(0, hi - 1), max_size=20))]
-    for x in xs:
-        *head, last = reference_trajectory(x, budget)
-        assert max(3 * t + 1 for t in head) < bound and last < bound
-    # so a lane holds 3t + 1 and leaves its top bit to the guard
-    assert bound < 1 << (8 * verify._scan_bytes(budget, hi) - 1)
+    walks = [reference_trajectory(x, steps) for x in xs]
+    added = [3 * t + 1 for walk in walks for t in walk[:-1]]
+    assert max(added) == 3 * walks[0][-2] + 1 == 2 * c * 3**steps - 2
+    # so every 3t + 1 fits a lane and every t leaves its top bit to the
+    # guard, while one byte less would carry into the next lane
+    w = 8 * verify._lane_bytes(steps, hi)
+    assert max(added) < 1 << w and max(map(max, walks)) < 1 << (w - 1)
+    assert max(added) >= 1 << (w - 8)
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
@@ -587,16 +604,37 @@ def test_lane_walk_names_the_first_nonmember_like_the_oracle(data, sigma, length
 def test_lane_width_holds_every_step_of_the_walk(sigma):
     from collatz_stopping import verify
 
-    # T(t) + 1 <= 3(t + 1)/2, so T^j(x) < 3^sigma for x < 2^sigma, j <= sigma;
-    # 2^sigma - 1 reaches 3^sigma - 1 at j = sigma, the bound's tightest case
+    # the walk's lanes are the scan's bound at hi = 2^sigma: x = 2^sigma - 1
+    # attains it, T^j(x) = 3^j * 2^(sigma-j) - 1, so no x < 2^sigma adds a
+    # 3t + 1 above 2 * 3^sigma - 2 or reaches a t above 3^sigma - 1
     rng = random.Random(sigma)
     xs = [(1 << sigma) - 1] + [rng.randrange(1, 1 << sigma, 2) for _ in range(200)]
-    top = max(max(reference_trajectory(x, sigma)) for x in xs)
-    assert top == 3**sigma - 1
-    # so 3t + 1 fits in a lane, and t leaves the lane's top bit to the guard
-    w = 8 * verify._lane_bytes(sigma)
-    assert 3 * top + 1 < 1 << w and top < 1 << (w - 1)
+    walks = [reference_trajectory(x, sigma) for x in xs]
+    added = [3 * t + 1 for walk in walks for t in walk[:-1]]
+    top = max(map(max, walks))
+    assert max(added) == 2 * 3**sigma - 2 and top == 3**sigma - 1
+    # so every 3t + 1 fits a lane and every t leaves its top bit to the
+    # guard, while one byte less would carry into the next lane
+    w = 8 * verify._lane_bytes(sigma, 1 << sigma)
+    assert max(added) < 1 << w and top < 1 << (w - 1)
+    assert max(added) >= 1 << (w - 8)
     assert verify._first_nonmember(xs, sigma) == reference_first_nonmember(xs, sigma)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), lanes=st.integers(1, 64), size=st.integers(1, 10))
+def test_one_lane_step_is_t_step_on_every_lane(data, lanes, size):
+    from collatz_stopping import verify
+
+    # any lane value whose 3t + 1 fits the lane, up to 3t + 1 = 2^W - 1
+    w = 8 * size
+    value = st.integers(1, ((1 << w) - 2) // 3)
+    ts = data.draw(st.lists(value, min_size=lanes, max_size=lanes))
+    low, _ = verify._lane_masks(size, lanes)
+    packed = int.from_bytes(b"".join(t.to_bytes(size, "little") for t in ts), "little")
+    stepped = verify._step(packed, low, w).to_bytes(size * lanes, "little")
+    lane = lambda i: int.from_bytes(stepped[i * size : (i + 1) * size], "little")
+    assert [lane(i) for i in range(lanes)] == [t_step(t) for t in ts]
 
 
 def test_a_level_that_never_closes_is_refused(monkeypatch):

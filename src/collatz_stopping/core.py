@@ -6,7 +6,7 @@ there is no overflow at any input size and concurrent calls are safe.
 
 from __future__ import annotations
 
-from .ladder import kappa
+from . import ladder
 
 Bits = tuple[int, ...]
 
@@ -19,13 +19,15 @@ def t_step(x: int) -> int:
 
 
 def trajectory(x: int, steps: int) -> list[int]:
-    """The terms T^0(x) .. T^steps(x), length steps + 1."""
+    """The terms T^0(x) .. T^steps(x), steps <= kappa(MAX_LADDER_TERMS)."""
     if x < 1:
         raise ValueError(f"x must be >= 1, got {x}")
     if steps < 0:
         raise ValueError(f"steps must be >= 0, got {steps}")
-    terms = [x]
-    t = x
+    n = ladder.MAX_LADDER_TERMS
+    bound = ladder.kappa(n)
+    ladder._refuse_above("trajectories are", steps, bound, lambda: f"{bound} steps (kappa({n}))")
+    terms, t = [x], x
     for _ in range(steps):
         t = t // 2 if t % 2 == 0 else (3 * t + 1) // 2
         terms.append(t)
@@ -55,7 +57,9 @@ def parity_vector_of(x: int, n: int) -> Bits:
     """Parities of T^0(x) .. T^kappa(n)(x), a 0/1 tuple of length kappa(n)+1."""
     if n < 1:
         raise ValueError(f"level must be >= 1, got {n}")
-    return tuple(t & 1 for t in trajectory(x, kappa(n)))
+    bound = ladder.MAX_LADDER_TERMS
+    ladder._refuse_above("parity vectors are", n, bound, lambda: f"n <= {bound}")
+    return tuple(t & 1 for t in trajectory(x, ladder.kappa(n)))
 
 
 def forward_map(r: int, k: int) -> tuple[int, int]:

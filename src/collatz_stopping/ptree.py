@@ -72,15 +72,6 @@ def leading_ones(bits: Bits) -> int:
     return h
 
 
-def trailing_zeros(bits: Bits) -> int:
-    j = 0
-    for b in reversed(bits):
-        if b != 0:
-            break
-        j += 1
-    return j
-
-
 @lru_cache(maxsize=None)
 def _tree_level(n: int) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
     """Level n in emission order as three parallel tuples: each entry's

@@ -5,7 +5,10 @@ residues are read off ptree's cached weighted sums.  The brute-force routes
 are sieve, the doubling survival sieve, and the scan in verify_range, which
 simulates every integer of a range against the class table.  Neither derives
 its classes from the tree or the triangle recurrence, so the three routes
-can be checked against each other.
+can be checked against each other.  One lane walk, _walk, simulates both
+the tree's classes and the scan's integers: a level-n class is a member
+exactly when it stops at sigma_n, and the scan reads each integer's
+stopping time off the same per-lane step counts.
 """
 
 from __future__ import annotations
@@ -114,30 +117,40 @@ def _lane_bytes(steps: int, hi: int) -> int:
     return ((3**steps * hi >> (steps - 1)).bit_length() + 7) >> 3
 
 
+def _walk(x: int, ones: int, guard: int, w: int, budget: int) -> tuple[int, int]:
+    """(steps, walked) over the W-bit lanes of x (ones, guard: _lane_masks):
+    a lane of steps counts the j in 1..budget with T^j(x) >= x before its
+    stop s, s - 1 or budget if none; walked is the last stop, or budget.
+    As t < 2^(W-1), a lane of t + (guard - x) keeps its guard bit exactly
+    where t >= x.  Until a lane stops, one scalar counts for every lane."""
+    t, live, below, steps, full = x, guard, guard - x, 0, 0
+    for walked in range(1, budget + 1):
+        t = _step(t, ones, w)
+        live &= t + below  # guard kept while t >= x
+        if live == guard:
+            full += 1
+        elif live:
+            steps += live >> (w - 1)
+        else:
+            break
+    return steps + full * ones, walked
+
+
 def _first_nonmember(xs: list[int], sig: int) -> int | None:
     """Index of the first x in xs (each 0 <= x < 2^sig) that is not a member
-    at sig, or None: a member has T^sig(x) < x <= min(T^0 .. T^(sig-1)).
-
-    Every x is walked sig steps, WALK_LANES at a time packed into one int of
-    W-bit lanes (SIMD within a register; W = _lane_bytes(sig, 2^sig)), one
-    _step for all lanes.  Since t < 2^(W-1), a lane of t + (guard - x) keeps
-    its guard bit exactly where t >= x, and guard - x is taken once a chunk.
+    at sig, or None: a member has T^sig(x) < x <= min(T^0 .. T^(sig-1)), so
+    it stops exactly at sig and _walk counts sig - 1 in its lane.  Every x is
+    walked, WALK_LANES at a time in W-bit lanes, W = _lane_bytes(sig, 2^sig).
     """
     size = _lane_bytes(sig, 1 << sig)
     w = 8 * size
     for start in range(0, len(xs), WALK_LANES):
         chunk = xs[start : start + WALK_LANES]
-        low, top = _lane_masks(size, len(chunk))
+        ones, guard = _lane_masks(size, len(chunk))
         x = int.from_bytes(
             b"".join(map(int.to_bytes, chunk, repeat(size), repeat("little"))), "little"
         )
-        t, ok, below = x, top, top - x  # ok keeps the guard of each lane still a member
-        for _ in range(sig):
-            ok &= t + below  # t >= x before step sig
-            t = _step(t, low, w)
-        ok &= (t + below) ^ top  # t < x at step sig
-        if ok != top:
-            bad = top ^ ok
+        if bad := _walk(x, ones, guard, w, sig)[0] ^ (sig - 1) * ones:
             return start + ((bad & -bad).bit_length() - 1) // w
     return None
 
@@ -146,16 +159,16 @@ def _level_classes(n: int) -> list[int]:
     """Level n's residues (mod 2^sigma_n) in the tree's emission order, read
     off ptree's cached level without solving each vector: x = -S * 3^-(n+1)
     (mod 2^sigma_n) for each entry's weighted sum S.  Every x is still walked
-    sigma_n steps and must be a member (solve_vector's predicate), by the
-    lane walk of _first_nonmember: a whole chunk of classes per big-integer
-    step.  The solved closing vector must be a member equal to the level's
-    last residue.  Either failure raises RuntimeError, a non-member naming
-    the first offender in emission order.
+    sigma_n steps and must be a member (solve_vector's predicate), that is,
+    stop exactly at sigma_n: _first_nonmember reads this off _walk's counts,
+    a whole chunk of classes per big-integer step.  The solved closing
+    vector must be a member equal to the level's last residue.  Either
+    failure raises RuntimeError, a non-member naming the first offender in
+    emission order.
     """
     sig, mod, _, inv = _level_constants(n)
     residues = [-s * inv % mod for s in ptree._tree_level(n)[0]]
-    bad = _first_nonmember(residues, sig)
-    if bad is not None:
+    if (bad := _first_nonmember(residues, sig)) is not None:
         raise RuntimeError(f"level {n} holds a class {residues[bad]} that is not a member")
     closing = solve_vector((1,) * (n + 1) + (0,) * (kappa(n) - n))
     if not closing.member or closing.x != residues[-1]:
@@ -238,15 +251,14 @@ def _scan_block(lo: int, hi: int, table: bytearray) -> tuple:
     [lo, hi) is cut into chunks of GROUP_STRIDE * WALK_LANES integers.  In a
     chunk, group x0 holds x0 + i * GROUP_STRIDE, packed into one int of
     W-bit lanes (W = _lane_bytes(budget, hi)) as x0 * low + index, and walked
-    with _step until every lane has stopped or the budget, one step past the
-    table's last sigma, is spent.  t >= x is read off the guard bits of
-    t + below, below = guard - x taken once a group.  Its lanes share their
-    first 8 parities, so a group whose residue stops early stops together.
-    Byte 0 of each lane counts the steps it stayed at or above x.  The
-    simulated times are compared with the group's table bytes and counted
-    in C; only a group that differs is looked at lane by lane.  Memory is
-    bounded by one group's int, about 8 KB near hi = 2^48, whatever the
-    range's width.
+    by _walk until every lane has stopped or the budget, one step past the
+    table's last sigma, is spent.  Its lanes share their first 8 parities,
+    so a group whose residue stops early stops together.  Byte 0 of each
+    lane counts the steps it stayed at or above x, its stopping time less
+    one.  The simulated times are compared with the group's table bytes
+    and counted in C; only a group that differs is looked at lane by lane.
+    Memory is bounded by one group's int, about 8 KB near hi = 2^48,
+    whatever the range's width.
     """
     mask = len(table) - 1
     budget = len(table).bit_length()  # one step past the table's last sigma
@@ -274,14 +286,7 @@ def _scan_block(lo: int, hi: int, table: bytearray) -> tuple:
             else:  # the range's last chunk: a shorter group
                 cut = (1 << (w * n)) - 1
                 ones, base, guard = low & cut, index & cut, top & cut
-            x = x0 * ones + base
-            t, live, steps, below = x, guard, 0, guard - x
-            for walked in range(1, budget + 1):
-                t = _step(t, ones, w)
-                live &= t + below  # guard kept while t >= x
-                if not live:
-                    break
-                steps += live >> (w - 1)
+            steps, walked = _walk(x0 * ones + base, ones, guard, w, budget)
             raw = steps.to_bytes(n * size, "little")[::size]
             sims = raw.translate(stopped)
             start = x0 & mask

@@ -1,4 +1,4 @@
-"""Shared loaders for the vendored golden fixtures."""
+"""Shared loaders for the vendored golden fixtures, and test-only helpers."""
 
 from pathlib import Path
 
@@ -10,6 +10,16 @@ FIXTURES = Path(__file__).parent / "fixtures"
 def fixture_lines(name: str) -> list[str]:
     text = (FIXTURES / name).read_text()
     return [line for line in text.splitlines() if line and not line.startswith("#")]
+
+
+def trailing_zeros(bits: tuple[int, ...]) -> int:
+    """Length of the run of 0s that ends bits."""
+    j = 0
+    for b in reversed(bits):
+        if b != 0:
+            break
+        j += 1
+    return j
 
 
 @pytest.fixture(scope="session")

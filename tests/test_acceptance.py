@@ -20,9 +20,10 @@ from collatz_stopping.diophantine import (
     stopping_term,
 )
 from collatz_stopping.ladder import d, kappa, sigma_n
-from collatz_stopping.ptree import generate_vset, lex_tuples, phn_counts, trailing_zeros, vset_levels
+from collatz_stopping.ptree import generate_vset, lex_tuples, phn_counts, vset_levels
 from collatz_stopping.triangle import build_triangle, w, z_from_triangle
 from collatz_stopping.verify import residue_table, sieve, verify_range
+from conftest import trailing_zeros
 
 
 def _pass(num: int, desc: str, t0: float, budget: float) -> None:

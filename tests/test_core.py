@@ -112,3 +112,24 @@ def test_even_numbers_stop_after_one_step(m):
 @given(st.integers(min_value=1, max_value=10**6))
 def test_one_mod_four_stops_after_two_steps(m):
     assert stopping_time(4 * m + 1, 2) == 2
+
+
+def test_trajectory_and_parity_vector_refuse_one_past_the_ladder_bound(monkeypatch):
+    from collatz_stopping import ladder
+
+    # parity_vector_of(x, n) walks kappa(n) steps, so trajectory's bound is
+    # the longest prefix the ladder's n <= MAX_LADDER_TERMS may ask for
+    assert kappa(ladder.MAX_LADDER_TERMS) == 158_496
+    levels = r"^parity vectors are bounded at n <= 100000; requested 100001$"
+    with pytest.raises(ValueError, match=levels):
+        parity_vector_of(3, 100_001)
+    steps = r"^trajectories are bounded at 158496 steps \(kappa\(100000\)\); requested 158497$"
+    with pytest.raises(ValueError, match=steps):
+        trajectory(3, 158_497)
+    assert len(trajectory(3, 158_496)) == 158_497
+    monkeypatch.setattr(ladder, "MAX_LADDER_TERMS", 5)  # read per call: kappa(5) = 7
+    with pytest.raises(ValueError, match=r"^parity vectors are bounded at n <= 5; requested 6$"):
+        parity_vector_of(3, 6)
+    with pytest.raises(ValueError, match=r"bounded at 7 steps \(kappa\(5\)\); requested 8$"):
+        trajectory(3, 8)
+    assert len(parity_vector_of(3, 5)) == len(trajectory(3, 7)) == 8

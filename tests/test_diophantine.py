@@ -16,7 +16,8 @@ from collatz_stopping.diophantine import (
     stopping_term,
 )
 from collatz_stopping.ladder import d, kappa, sigma_n
-from collatz_stopping.ptree import lex_tuples, trailing_zeros, vset_levels
+from collatz_stopping.ptree import lex_tuples, vset_levels
+from conftest import trailing_zeros
 
 
 def weighted_sum(v):

@@ -13,11 +13,11 @@ from collatz_stopping.ptree import (
     lex_tuples,
     ln_count,
     phn_counts,
-    trailing_zeros,
     tree_node_count,
     vset_levels,
 )
 from collatz_stopping.triangle import build_triangle, z_from_triangle
+from conftest import trailing_zeros
 
 
 def reference_extend_level(prev, n):

@@ -637,6 +637,51 @@ def test_one_lane_step_is_t_step_on_every_lane(data, lanes, size):
     assert [lane(i) for i in range(lanes)] == [t_step(t) for t in ts]
 
 
+def reference_count(x, budget):
+    """The steps 1..budget at which T^j(x) >= x, up to x's stop, and that
+    stop (None: none within budget), off reference_trajectory."""
+    walk = reference_trajectory(x, budget)
+    stop = next((j for j in range(1, budget + 1) if walk[j] < x), None)
+    return (budget if stop is None else stop - 1), stop
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    data=st.data(),
+    budget=st.integers(1, 40),
+    case=st.sampled_from(["drawn", "all-even", "no-stop", "shared-prefix"]),
+)
+def test_walk_counts_every_lane_like_the_reference_trajectory(data, budget, case):
+    from collatz_stopping import verify
+
+    lanes = data.draw(st.integers(1, 40))
+    draw = lambda lo, top: data.draw(st.lists(st.integers(lo, top), min_size=lanes, max_size=lanes))
+    if case == "drawn":
+        xs = draw(0, (1 << data.draw(st.integers(1, 64))) - 1)
+    elif case == "all-even":  # every lane stops on step 1: walked 1, all counts 0
+        xs = [2 * m for m in draw(1, (1 << 60) - 1)]
+    elif case == "no-stop":  # T^j(c * 2^budget - 1) = c * 3^j * 2^(budget-j) - 1 >= x
+        xs = [(c << budget) - 1 for c in draw(1, 1 << 20)]
+    else:  # x = -1 (mod 2^k): k shared steps at or above x, then apart
+        k = data.draw(st.integers(1, budget))
+        xs = [(c << k) - 1 for c in draw(1, 1 << 20)]
+    hi = max(xs) + 1
+    size = verify._lane_bytes(budget, hi)
+    ones, guard = verify._lane_masks(size, lanes)
+    x = int.from_bytes(b"".join(v.to_bytes(size, "little") for v in xs), "little")
+    steps, walked = verify._walk(x, ones, guard, 8 * size, budget)
+    raw = steps.to_bytes(size * lanes, "little")
+    counted = [int.from_bytes(raw[i * size : (i + 1) * size], "little") for i in range(lanes)]
+    expected = [reference_count(v, budget) for v in xs]
+    assert counted == [count for count, _ in expected]
+    assert raw[::size] == bytes(count for count, _ in expected)
+    assert walked == max(budget if stop is None else stop for _, stop in expected)
+    if case == "all-even":
+        assert walked == 1 and steps == 0
+    if case == "no-stop":
+        assert walked == budget and steps == budget * ones
+
+
 def test_a_level_that_never_closes_is_refused(monkeypatch):
     from collatz_stopping import ptree
 

@@ -24,6 +24,7 @@ from .ptree import (
     VSetEntry,
     export_tree,
     generate_vset,
+    level_residues,
     lex_tuples,
     ln_count,
     phn_counts,
@@ -37,7 +38,7 @@ from .triangle import TriangleTable, build_triangle, class_counts, survivor_coun
 # with _replace instead of dataclasses.replace: they can then be NamedTuples.
 _VERIFY_NAMES = (
     "ResidueBlock", "SurvivalRecord", "VerificationReport",
-    "level_residues", "residue_table", "sieve", "verify_range",
+    "residue_table", "sieve", "verify_range",
 )
 
 

@@ -20,9 +20,9 @@ from .ladder import _refuse_above, d, kappa, ladder_rows, min_surviving_n, sigma
 from .ptree import export_tree, generate_vset, leading_ones, lex_tuples, ln_count, tree_node_count
 from .triangle import build_triangle, class_counts, survivor_counts, w, z_from_triangle
 
-# verify is imported inside the commands that use it: its records are
-# dataclasses, and the dataclasses module would double the start-up of every
-# other command.  The package __init__ says when this can go.
+# verify is imported inside sieve and verify, the two commands that use it:
+# its records are dataclasses, and the dataclasses module would double the
+# start-up of every other command.  The package __init__ says when this can go.
 
 # Bounds on what the CLI prints or shifts; the library refuses every other
 # oversized request where it allocates.  Any ValueError exits with code 2.
@@ -107,24 +107,17 @@ def _cmd_vset(args) -> int:
         sys.stdout.write(export_tree(args.n, with_solutions=args.with_solutions))
         return 0
     entries = generate_vset(args.n)
-    solutions = (
-        [solve_vector(e.vector) for e in entries] if args.with_solutions else None
-    )
+    solutions = ptree._level_solutions(args.n) if args.with_solutions else [()] * len(entries)
     if args.format == "csv":
         writer = csv.writer(sys.stdout)
-        writer.writerow(["bits", "h", "p"] + (["x", "y"] if solutions else []))
-        for i, e in enumerate(entries):
-            row = ["".join(map(str, e.vector)), e.h, e.p]
-            if solutions:
-                row += [solutions[i].x, solutions[i].y]
-            writer.writerow(row)
+        writer.writerow(["bits", "h", "p"] + (["x", "y"] if args.with_solutions else []))
+        for e, sol in zip(entries, solutions):
+            writer.writerow(["".join(map(str, e.vector)), e.h, e.p, *sol])
         return 0
     write = sys.stdout.write
-    for i, e in enumerate(entries):
-        line = f"{_bits_str(e.vector)} {e.h} {e.p}"
-        if solutions:
-            line += f" {solutions[i].x} {solutions[i].y}"
-        write(line + "\n")
+    for e, sol in zip(entries, solutions):
+        tail = " {} {}\n".format(*sol) if sol else "\n"
+        write(f"{_bits_str(e.vector)} {e.h} {e.p}{tail}")
     return 0
 
 
@@ -151,10 +144,8 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_residues(args) -> int:
-    from .verify import level_residues
-
     n = args.sigma_index
-    xs = level_residues(n)
+    xs = ptree.level_residues(n)
     sig = sigma_n(n)
     print(f"sigma(x) = {sig}")
     print(f"if x = {', '.join(map(str, xs))} (mod {1 << sig})")
@@ -209,10 +200,8 @@ def _each_n(f: Callable[[int], int]) -> Callable[[int], list[int]]:
 
 
 def _residue_terms(terms: int) -> list[int]:
-    from .verify import _level_classes
-
     # read lazily: the levels past the one completing `terms` are never built
-    levels = map(sorted, map(_level_classes, range(1, ptree.MAX_RESIDUE_LEVEL + 1)))
+    levels = map(ptree.level_residues, range(1, ptree.MAX_RESIDUE_LEVEL + 1))
     return list(islice(chain.from_iterable(levels), terms))
 
 

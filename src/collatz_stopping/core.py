@@ -1,4 +1,5 @@
-"""The accelerated 3x+1 map and its exact trajectory bookkeeping.
+"""The accelerated 3x+1 map, its exact trajectory bookkeeping, and the lane
+engine, _walk, that ptree's class check and verify's scan both read.
 
 All functions are pure and use Python's arbitrary-precision integers, so
 there is no overflow at any input size and concurrent calls are safe.
@@ -81,3 +82,53 @@ def forward_map(r: int, k: int) -> tuple[int, int]:
         else:
             t //= 2
     return t, n
+
+
+WALK_LANES = 1024  # lanes per packed int: 5 KB walking sigma_14, 8 KB scanning near 2^48
+
+
+def _lane_masks(size: int, lanes: int) -> tuple[int, int]:
+    """Masks for lanes of size bytes packed into one int: each lane's low
+    bit and each lane's top bit (the guard)."""
+    low = int.from_bytes(b"\1".ljust(size, b"\0") * lanes, "little")
+    return low, low << (8 * size - 1)
+
+
+def _step(t: int, low: int, w: int) -> int:
+    """T on every lane of t at once, lanes w bits wide: (t + odd) / 2, plus t
+    where a lane is odd, masked by (odd << w) - odd without a multiply, is
+    (3t + 1) / 2 there and t / 2 elsewhere.  Every lane of t + odd is even and
+    3t + 1 fits its lane, so no bit crosses into the next lane."""
+    odd = t & low
+    return ((t + odd) >> 1) + (t & ((odd << w) - odd))
+
+
+def _lane_bytes(steps: int, hi: int) -> int:
+    """Lane width W, in whole bytes of bit_length(B), B = 3^steps * hi >>
+    (steps - 1), for walking steps steps from any 0 <= x < hi.
+
+    T(t) + 1 <= 3(t + 1)/2 gives T^j(x) + 1 <= (3/2)^j * hi.  Each 3t + 1 is
+    added before a step j + 1 <= steps, so 3t + 3 <= 3^steps * hi / 2^(steps-1)
+    and 3t + 1 < B < 2^W: no lane carries into the next.  Up to j = steps,
+    2t + 2 <= 3^steps * hi / 2^(steps-1), so 2t < B and t < 2^(W-1): the
+    lane's top bit stays free as the guard of the t >= x test."""
+    return ((3**steps * hi >> (steps - 1)).bit_length() + 7) >> 3
+
+
+def _walk(x: int, ones: int, guard: int, w: int, budget: int) -> tuple[int, int]:
+    """(steps, walked) over the W-bit lanes of x (ones, guard: _lane_masks):
+    a lane of steps counts the j in 1..budget with T^j(x) >= x before its
+    stop s, s - 1 or budget if none; walked is the last stop, or budget.
+    As t < 2^(W-1), a lane of t + (guard - x) keeps its guard bit exactly
+    where t >= x.  Until a lane stops, one scalar counts for every lane."""
+    t, live, below, steps, full = x, guard, guard - x, 0, 0
+    for walked in range(1, budget + 1):
+        t = _step(t, ones, w)
+        live &= t + below  # guard kept while t >= x
+        if live == guard:
+            full += 1
+        elif live:
+            steps += live >> (w - 1)
+        else:
+            break
+    return steps + full * ones, walked

@@ -12,8 +12,9 @@ order the construction emits vectors:
 
 Emission order is the contract: per-h ranks p, the candidate-tuple ordering
 and the residue recurrences all refer to it.  One walker, _tree_level,
-applies the steps and keeps each level; every reader here and verify's class
-lists read it.  Every public reader refuses levels above MAX_RESIDUE_LEVEL
+applies the steps and keeps each level; every reader here reads it, and
+_level_classes reads each level's residues off its weighted sums without
+solving each vector.  Every public reader refuses levels above MAX_RESIDUE_LEVEL
 (read per call) before it builds one.
 """
 
@@ -21,12 +22,13 @@ from __future__ import annotations
 
 from collections import Counter
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, repeat
 from math import comb
 from typing import NamedTuple
 
-from .core import Bits
-from .diophantine import solve_vector
+from . import ladder
+from .core import WALK_LANES, Bits, _lane_bytes, _lane_masks, _walk
+from .diophantine import _level_constants, solve_vector
 from .ladder import _refuse_above, kappa
 from .triangle import class_counts
 
@@ -100,6 +102,63 @@ def _tree_level(n: int) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ..
     raise RuntimeError(f"level {n} did not close on the all-leading-ones vector")
 
 
+def _first_nonmember(xs: list[int], sig: int) -> int | None:
+    """Index of the first x in xs (each 0 <= x < 2^sig) that is not a member
+    at sig, or None: a member has T^sig(x) < x <= min(T^0 .. T^(sig-1)), so
+    it stops exactly at sig and _walk counts sig - 1 in its lane.  Every x is
+    walked, WALK_LANES at a time in W-bit lanes, W = _lane_bytes(sig, 2^sig).
+    """
+    size = _lane_bytes(sig, 1 << sig)
+    w = 8 * size
+    for start in range(0, len(xs), WALK_LANES):
+        chunk = xs[start : start + WALK_LANES]
+        ones, guard = _lane_masks(size, len(chunk))
+        x = int.from_bytes(
+            b"".join(map(int.to_bytes, chunk, repeat(size), repeat("little"))), "little"
+        )
+        if bad := _walk(x, ones, guard, w, sig)[0] ^ (sig - 1) * ones:
+            return start + ((bad & -bad).bit_length() - 1) // w
+    return None
+
+
+def _level_classes(n: int) -> list[int]:
+    """Level n's residues (mod 2^sigma_n) in emission order, read off the
+    cached level without solving each vector: x = -S * 3^-(n+1)
+    (mod 2^sigma_n) for each entry's weighted sum S.  Every x is still walked
+    sigma_n steps and must be a member (solve_vector's predicate), that is,
+    stop exactly at sigma_n: _first_nonmember reads this off _walk's counts,
+    a whole chunk of classes per big-integer step.  The solved closing
+    vector must be a member equal to the level's last residue.  Either
+    failure raises RuntimeError, a non-member naming the first offender in
+    emission order.
+    """
+    sig, mod, _, inv = _level_constants(n)
+    residues = [-s * inv % mod for s in _tree_level(n)[0]]
+    if (bad := _first_nonmember(residues, sig)) is not None:
+        raise RuntimeError(f"level {n} holds a class {residues[bad]} that is not a member")
+    closing = solve_vector((1,) * (n + 1) + (0,) * (kappa(n) - n))
+    if not closing.member or closing.x != residues[-1]:
+        raise RuntimeError(
+            f"level {n} closes on {residues[-1]}, but its vector solves to {closing.x}"
+            + ("" if closing.member else ", which is not a member")
+        )
+    return residues
+
+
+def _level_solutions(n: int) -> list[tuple[int, int]]:
+    """(x, y) of each level-n entry in emission order: x from _level_classes
+    and its image y = T^sigma_n(x) = (3^(n+1) * x + S) / 2^sigma_n, exact."""
+    sig, _, p3, _ = _level_constants(n)
+    return [(x, (p3 * x + s) >> sig) for x, s in zip(_level_classes(n), _tree_level(n)[0])]
+
+
+def level_residues(n: int) -> tuple[int, ...]:
+    """Ascending residues (mod 2^sigma_n) of the level-n classes, read along
+    the tree; only level n's classes are walked."""
+    _check_level(n)
+    return tuple(sorted(_level_classes(n)))
+
+
 def _entry_levels(n_max: int):
     """Yield levels 1..n_max as VSetEntry lists rebuilt from _tree_level.
     An entry whose final 1 sits at kappa(n) is the step-1 child of the next
@@ -151,9 +210,11 @@ def phn_counts(n: int) -> dict[int, int]:
 
 
 def ln_count(n: int) -> int:
-    """Number of candidate tuples at level n: C(kappa(n)-1, n-1), exact."""
+    """Candidate tuples at level n <= MAX_LADDER_TERMS: C(kappa(n)-1, n-1), exact."""
     if n < 1:
         raise ValueError(f"level must be >= 1, got {n}")
+    bound = ladder.MAX_LADDER_TERMS
+    _refuse_above("candidate tuple counts are", n, bound, lambda: f"n <= {bound}")
     return comb(kappa(n) - 1, n - 1)
 
 
@@ -210,10 +271,11 @@ def export_tree(n: int, *, with_solutions: bool = False) -> str:
     levels = list(_entry_levels(n))
     for level, entries in enumerate(levels, start=1):
         lines.append(f"  {{ rank=same; /* level {level} */")
+        xs = _level_classes(level) if with_solutions else None
         for i, entry in enumerate(entries):
             label = "(" + ",".join(map(str, entry.vector)) + ")"
-            if with_solutions:
-                label += f"\\nx={solve_vector(entry.vector).x}"
+            if xs:
+                label += f"\\nx={xs[i]}"
             lines.append(f'    v{level}_{i} [label="{label}"];')
         lines.append("  }")
     for level, entries in enumerate(levels[1:], start=2):

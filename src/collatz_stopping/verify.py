@@ -1,23 +1,19 @@
-"""Class lists read along the tree, and the brute-force routes that check them.
+"""The brute-force routes that check the tree's class lists.
 
-level_residues and residue_table are the tree route's output: each level's
-residues are read off ptree's cached weighted sums.  The brute-force routes
-are sieve, the doubling survival sieve, and the scan in verify_range, which
-simulates every integer of a range against the class table.  Neither derives
-its classes from the tree or the triangle recurrence, so the three routes
-can be checked against each other.  One lane walk, _walk, simulates both
-the tree's classes and the scan's integers: a level-n class is a member
-exactly when it stops at sigma_n, and the scan reads each integer's
-stopping time off the same per-lane step counts.
+sieve is the doubling survival sieve; verify_range simulates every integer
+of a range against residue_table, the tree's class lists (ptree's
+level_residues) with the two trivial classes, turned into one byte per
+residue.  Neither route derives its classes from the tree or the triangle
+recurrence, so the three routes can be checked against each other.  The
+scan reads each integer's stopping time off core's lane engine, _walk.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from itertools import repeat
 
-from .diophantine import _level_constants, solve_vector
+from .core import WALK_LANES, _lane_bytes, _lane_masks, _walk
 from .ladder import _refuse_above, kappa, sigma_n
 from . import ptree
 from .triangle import survivor_counts
@@ -86,112 +82,13 @@ class ResidueBlock:
         return 1 << self.sigma
 
 
-WALK_LANES = 1024  # lanes per packed int: 5 KB walking sigma_14, 8 KB scanning near 2^48
-
-
-def _lane_masks(size: int, lanes: int) -> tuple[int, int]:
-    """Masks for lanes of size bytes packed into one int: each lane's low
-    bit and each lane's top bit (the guard)."""
-    low = int.from_bytes(b"\1".ljust(size, b"\0") * lanes, "little")
-    return low, low << (8 * size - 1)
-
-
-def _step(t: int, low: int, w: int) -> int:
-    """T on every lane of t at once, lanes w bits wide: 2t + 1 is added
-    where a lane's low bit is set, then the int is halved.  (odd << w) - odd
-    fills every odd lane's w bits without a multiply; every lane is even
-    before the shift, so no bit crosses into the next lane."""
-    odd = t & low
-    return (t + (((t << 1) | low) & ((odd << w) - odd))) >> 1
-
-
-def _lane_bytes(steps: int, hi: int) -> int:
-    """Lane width W, in whole bytes of bit_length(B), B = 3^steps * hi >>
-    (steps - 1), for walking steps steps from any 0 <= x < hi.
-
-    T(t) + 1 <= 3(t + 1)/2 gives T^j(x) + 1 <= (3/2)^j * hi.  Each 3t + 1 is
-    added before a step j + 1 <= steps, so 3t + 3 <= 3^steps * hi / 2^(steps-1)
-    and 3t + 1 < B < 2^W: no lane carries into the next.  Up to j = steps,
-    2t + 2 <= 3^steps * hi / 2^(steps-1), so 2t < B and t < 2^(W-1): the
-    lane's top bit stays free as the guard of the t >= x test."""
-    return ((3**steps * hi >> (steps - 1)).bit_length() + 7) >> 3
-
-
-def _walk(x: int, ones: int, guard: int, w: int, budget: int) -> tuple[int, int]:
-    """(steps, walked) over the W-bit lanes of x (ones, guard: _lane_masks):
-    a lane of steps counts the j in 1..budget with T^j(x) >= x before its
-    stop s, s - 1 or budget if none; walked is the last stop, or budget.
-    As t < 2^(W-1), a lane of t + (guard - x) keeps its guard bit exactly
-    where t >= x.  Until a lane stops, one scalar counts for every lane."""
-    t, live, below, steps, full = x, guard, guard - x, 0, 0
-    for walked in range(1, budget + 1):
-        t = _step(t, ones, w)
-        live &= t + below  # guard kept while t >= x
-        if live == guard:
-            full += 1
-        elif live:
-            steps += live >> (w - 1)
-        else:
-            break
-    return steps + full * ones, walked
-
-
-def _first_nonmember(xs: list[int], sig: int) -> int | None:
-    """Index of the first x in xs (each 0 <= x < 2^sig) that is not a member
-    at sig, or None: a member has T^sig(x) < x <= min(T^0 .. T^(sig-1)), so
-    it stops exactly at sig and _walk counts sig - 1 in its lane.  Every x is
-    walked, WALK_LANES at a time in W-bit lanes, W = _lane_bytes(sig, 2^sig).
-    """
-    size = _lane_bytes(sig, 1 << sig)
-    w = 8 * size
-    for start in range(0, len(xs), WALK_LANES):
-        chunk = xs[start : start + WALK_LANES]
-        ones, guard = _lane_masks(size, len(chunk))
-        x = int.from_bytes(
-            b"".join(map(int.to_bytes, chunk, repeat(size), repeat("little"))), "little"
-        )
-        if bad := _walk(x, ones, guard, w, sig)[0] ^ (sig - 1) * ones:
-            return start + ((bad & -bad).bit_length() - 1) // w
-    return None
-
-
-def _level_classes(n: int) -> list[int]:
-    """Level n's residues (mod 2^sigma_n) in the tree's emission order, read
-    off ptree's cached level without solving each vector: x = -S * 3^-(n+1)
-    (mod 2^sigma_n) for each entry's weighted sum S.  Every x is still walked
-    sigma_n steps and must be a member (solve_vector's predicate), that is,
-    stop exactly at sigma_n: _first_nonmember reads this off _walk's counts,
-    a whole chunk of classes per big-integer step.  The solved closing
-    vector must be a member equal to the level's last residue.  Either
-    failure raises RuntimeError, a non-member naming the first offender in
-    emission order.
-    """
-    sig, mod, _, inv = _level_constants(n)
-    residues = [-s * inv % mod for s in ptree._tree_level(n)[0]]
-    if (bad := _first_nonmember(residues, sig)) is not None:
-        raise RuntimeError(f"level {n} holds a class {residues[bad]} that is not a member")
-    closing = solve_vector((1,) * (n + 1) + (0,) * (kappa(n) - n))
-    if not closing.member or closing.x != residues[-1]:
-        raise RuntimeError(
-            f"level {n} closes on {residues[-1]}, but its vector solves to {closing.x}"
-            + ("" if closing.member else ", which is not a member")
-        )
-    return residues
-
-
-def level_residues(n: int) -> tuple[int, ...]:
-    """Ascending residues (mod 2^sigma_n) of the level-n classes, read along
-    the tree; only level n's classes are walked."""
-    ptree._check_level(n)
-    return tuple(sorted(_level_classes(n)))
-
-
 def residue_table(n_max: int) -> list[ResidueBlock]:
     """Stopping-time classes: the trivial sigma = 1, 2 blocks followed by the
     ascending class list of each level n = 1..n_max."""
     ptree._check_level(n_max)
     trivial = [ResidueBlock(1, None, (0,)), ResidueBlock(2, None, (1,))]
-    return trivial + [ResidueBlock(sigma_n(n), n, level_residues(n)) for n in range(1, n_max + 1)]
+    levels = range(1, n_max + 1)
+    return trivial + [ResidueBlock(sigma_n(n), n, ptree.level_residues(n)) for n in levels]
 
 
 @dataclass(frozen=True)

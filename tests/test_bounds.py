@@ -18,7 +18,7 @@ BOUNDED = {
     "vset_levels": (ptree.vset_levels, 15, 14),
     "generate_vset": (ptree.generate_vset, 15, 14),
     "phn_counts": (ptree.phn_counts, 15, 14),
-    "level_residues": (verify.level_residues, 15, 14),
+    "level_residues": (ptree.level_residues, 15, 14),
     "residue_table": (verify.residue_table, 15, 14),
     "verify_range": (lambda n: verify.verify_range(2, 10, n), 15, 14),
     "lex_tuples": (ptree.lex_tuples, 15, 0),
@@ -30,6 +30,7 @@ BOUNDED = {
     "trajectory": (lambda steps: core.trajectory(3, steps), 158_497, 0),
     "sieve": (verify.sieve, 27, 26),
     "export_tree": (ptree.export_tree, 11, 11),
+    "ln_count": (ptree.ln_count, 100_001, 0),
 }
 
 

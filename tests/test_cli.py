@@ -418,13 +418,13 @@ def test_counts_are_read_without_building_a_table(run_cli, monkeypatch):
 
 
 def test_oeis_residues_stop_at_the_completing_level(run_cli, monkeypatch):
-    from collatz_stopping import verify
+    from collatz_stopping import ptree
 
     # 313 = z(1) + ... + z(8): levels 9..14 are never built
     cache = _cleared_level_cache()
-    classes, built = verify._level_classes, []
+    classes, built = ptree._level_classes, []
     probe = lambda n: built.append(n) or classes(n)
-    monkeypatch.setattr(verify, "_level_classes", probe)
+    monkeypatch.setattr(ptree, "_level_classes", probe)
     code, out, _ = run_cli("oeis", "A177789", "--terms", "313")
     assert code == 0 and len(out.split()) == 313
     assert built == list(range(1, 9))

@@ -1,8 +1,8 @@
 """Each tree level is extended once per process, whichever readers ask."""
 
 from collatz_stopping import ptree
-from collatz_stopping.ptree import export_tree, generate_vset, phn_counts, vset_levels
-from collatz_stopping.verify import level_residues, residue_table, verify_range
+from collatz_stopping.ptree import export_tree, generate_vset, level_residues, phn_counts, vset_levels
+from collatz_stopping.verify import residue_table, verify_range
 
 
 def test_each_level_is_extended_once():

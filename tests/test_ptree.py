@@ -1,3 +1,4 @@
+import re
 from collections import Counter
 
 import pytest
@@ -257,6 +258,32 @@ def test_export_tree_size_guard(monkeypatch):
 def test_export_tree_with_solutions():
     dot = export_tree(3, with_solutions=True)
     assert "x=59" in dot and "x=3" in dot
+
+
+def reference_export_with_solutions(n):
+    """export_tree(n, with_solutions=True) by the per-vector solve: each
+    node label of export_tree(n) gains the x that solve_vector gives its
+    vector.  An oracle for the export's labels, which read the class stream."""
+    levels = vset_levels(n)
+
+    def label(node):
+        vector = levels[int(node[1])][int(node[2])].vector
+        return f'{node[0][:-3]}\\nx={solve_vector(vector).x}"];'
+
+    return re.sub(r'v(\d+)_(\d+) \[label="[^"]*"\];', label, export_tree(n))
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_export_labels_equal_the_per_vector_solve(n):
+    assert export_tree(n, with_solutions=True) == reference_export_with_solutions(n)
+
+
+def test_level_solutions_equal_the_solver_on_every_entry_in_emission_order():
+    from collatz_stopping import ptree
+
+    for n in range(1, 13):
+        solved = [solve_vector(e.vector) for e in generate_vset(n)]
+        assert ptree._level_solutions(n) == [(sol.x, sol.y) for sol in solved]
 
 
 def test_trailing_zeros_helper():

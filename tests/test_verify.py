@@ -5,16 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from collatz_stopping.core import forward_map, stopping_time, t_step
+from collatz_stopping.core import WALK_LANES, forward_map, stopping_time, t_step
 from collatz_stopping.diophantine import solve_vector
 from collatz_stopping.ladder import kappa, sigma_n
-from collatz_stopping.ptree import generate_vset
+from collatz_stopping.ptree import generate_vset, level_residues
 from collatz_stopping.triangle import build_triangle, class_counts, w, z_from_triangle
 from collatz_stopping.verify import (
     GROUP_STRIDE,
-    WALK_LANES,
     VerificationReport,
-    level_residues,
     residue_table,
     sieve,
     verify_range,
@@ -40,7 +38,7 @@ def reference_trajectory(x, sigma):
 
 
 def reference_first_nonmember(xs, sigma):
-    """The per-class walk of verify._level_classes as first written: index of
+    """The per-class walk of ptree._level_classes as first written: index of
     the first x in xs with not T^sigma(x) < x <= min(T^0 .. T^(sigma-1)), or
     None.  An oracle for the lane walk."""
     for i, x in enumerate(xs):
@@ -261,15 +259,15 @@ def test_verify_range_preconditions():
 
 def _forge_level(monkeypatch, n, edit):
     """Route level n's residues through edit, in every class list."""
-    from collatz_stopping import verify
+    from collatz_stopping import ptree
 
-    classes = verify._level_classes
+    classes = ptree._level_classes
 
     def forged(level):
         residues = classes(level)
         return sorted(edit(set(residues))) if level == n else residues
 
-    monkeypatch.setattr(verify, "_level_classes", forged)
+    monkeypatch.setattr(ptree, "_level_classes", forged)
 
 
 def test_verify_range_reports_a_dropped_class(monkeypatch):
@@ -356,10 +354,10 @@ def test_scan_edges_agree_with_the_reference_scan(lo, width, n_max):
 
 
 def test_nine_byte_hi_is_where_the_scan_lanes_widen():
-    from collatz_stopping import verify
+    from collatz_stopping import core
 
-    assert verify._lane_bytes(17, NINE_BYTE_HI - (1 << 17)) == 8
-    assert verify._lane_bytes(17, NINE_BYTE_HI) == 9
+    assert core._lane_bytes(17, NINE_BYTE_HI - (1 << 17)) == 8
+    assert core._lane_bytes(17, NINE_BYTE_HI) == 9
     assert 3 * reference_trajectory(NINE_BYTE_HI - 1, 17)[-2] + 1 >= 1 << 64
 
 
@@ -389,7 +387,7 @@ def test_forged_table_mismatches_stay_ascending_across_groups_and_chunks(
 @settings(max_examples=60, deadline=None)
 @given(data=st.data(), steps=st.integers(1, 25), c=st.integers(1, 1 << 60))
 def test_scan_lane_width_holds_every_step(data, steps, c):
-    from collatz_stopping import verify
+    from collatz_stopping import core
 
     # T(t) + 1 <= 3(t + 1)/2, and x = c * 2^steps - 1 attains it at every
     # step, T^j(x) = c * 3^j * 2^(steps-j) - 1: no x < hi = c * 2^steps adds
@@ -401,7 +399,7 @@ def test_scan_lane_width_holds_every_step(data, steps, c):
     assert max(added) == 3 * walks[0][-2] + 1 == 2 * c * 3**steps - 2
     # so every 3t + 1 fits a lane and every t leaves its top bit to the
     # guard, while one byte less would carry into the next lane
-    w = 8 * verify._lane_bytes(steps, hi)
+    w = 8 * core._lane_bytes(steps, hi)
     assert max(added) < 1 << w and max(map(max, walks)) < 1 << (w - 1)
     assert max(added) >= 1 << (w - 8)
 
@@ -462,11 +460,11 @@ def test_aligned_window_holds_every_class_its_share(n_max, m):
 
 
 def test_level_residues_refuses_a_non_member(monkeypatch):
-    from collatz_stopping import verify
+    from collatz_stopping import ptree
     from collatz_stopping.diophantine import Solution
 
     monkeypatch.setattr(
-        verify, "solve_vector", lambda v: Solution(x=3, y=0, vector=v, member=False)
+        ptree, "solve_vector", lambda v: Solution(x=3, y=0, vector=v, member=False)
     )
     with pytest.raises(RuntimeError, match="not a member"):
         level_residues(3)
@@ -475,26 +473,26 @@ def test_level_residues_refuses_a_non_member(monkeypatch):
 
 
 def test_stream_equals_the_solver_on_every_entry_in_emission_order():
-    from collatz_stopping import verify
+    from collatz_stopping import ptree
 
     for n in range(1, 13):
-        residues = verify._level_classes(n)
+        residues = ptree._level_classes(n)
         assert residues == [solve_vector(e.vector).x for e in generate_vset(n)]
 
 
 def test_sorted_stream_equals_the_oracle_on_the_deepest_levels():
-    from collatz_stopping import verify
+    from collatz_stopping import ptree
 
     for n in (13, 14):
-        assert tuple(sorted(verify._level_classes(n))) == reference_level_residues(n)
+        assert tuple(sorted(ptree._level_classes(n))) == reference_level_residues(n)
 
 
 def test_the_stream_solves_one_vector_per_level(monkeypatch):
-    from collatz_stopping import verify
+    from collatz_stopping import ptree
 
     solved = []
-    real = verify.solve_vector
-    monkeypatch.setattr(verify, "solve_vector", lambda v: solved.append(v) or real(v))
+    real = ptree.solve_vector
+    monkeypatch.setattr(ptree, "solve_vector", lambda v: solved.append(v) or real(v))
     residue_table(12)
     # each level's closing vector: n + 1 leading ones, then kappa(n) - n zeros
     assert solved == [(1,) * (n + 1) + (0,) * (kappa(n) - n) for n in range(1, 13)]
@@ -509,28 +507,28 @@ def test_the_stream_solves_one_vector_per_level(monkeypatch):
     ids=["other-x", "non-member"],
 )
 def test_a_forged_closing_solution_fails_the_level_certificate(monkeypatch, forge, refusal):
-    from collatz_stopping import verify
+    from collatz_stopping import ptree
 
-    real = verify.solve_vector
+    real = ptree.solve_vector
 
     def forged(v):
         sol = real(v)
         return sol._replace(**forge) if sum(v) == 4 else sol
 
-    monkeypatch.setattr(verify, "solve_vector", forged)
+    monkeypatch.setattr(ptree, "solve_vector", forged)
     assert level_residues(2) == (11, 23)
     with pytest.raises(RuntimeError, match=rf"^level 3 closes on 15, but {refusal}$"):
         level_residues(3)
 
 
 def test_the_stream_walks_every_class(monkeypatch):
-    from collatz_stopping import diophantine, ptree, verify
+    from collatz_stopping import core, diophantine, ptree
     from collatz_stopping.ptree import lex_tuples
 
     # non-member candidates in place of tree classes: level 5's first class,
     # then level 12's in a later chunk; with two, the first in emission order
     # is named, whether they are walked in one chunk or two
-    lanes = verify.WALK_LANES
+    lanes = core.WALK_LANES
     cases = [
         (5, [0]),
         (12, [lanes + 7]),
@@ -578,11 +576,11 @@ def _members(sigma):
     length=st.sampled_from(["empty", "one", "chunk-1", "chunk", "chunk+1"]),
 )
 def test_lane_walk_names_the_first_nonmember_like_the_oracle(data, sigma, length):
-    from collatz_stopping import verify
+    from collatz_stopping import core, ptree
 
     # lanes pass 64 bits from sigma 40; the lengths end a chunk early, on
     # its last lane and one lane into the next
-    lanes = verify.WALK_LANES
+    lanes = core.WALK_LANES
     sizes = {"empty": 0, "one": 1, "chunk-1": lanes - 1, "chunk": lanes, "chunk+1": lanes + 1}
     size = sizes[length]
     rng = random.Random(data.draw(st.integers(0, 2**32)))
@@ -595,14 +593,14 @@ def test_lane_walk_names_the_first_nonmember_like_the_oracle(data, sigma, length
         if reference_first_nonmember([xs[i]], sigma) is None:
             xs[i] = 0
     expected = reference_first_nonmember(xs, sigma)
-    assert verify._first_nonmember(xs, sigma) == expected
+    assert ptree._first_nonmember(xs, sigma) == expected
     if members:
         assert expected == (min(forged) if forged else None)
 
 
 @pytest.mark.parametrize("sigma", range(1, 61))
 def test_lane_width_holds_every_step_of_the_walk(sigma):
-    from collatz_stopping import verify
+    from collatz_stopping import core, ptree
 
     # the walk's lanes are the scan's bound at hi = 2^sigma: x = 2^sigma - 1
     # attains it, T^j(x) = 3^j * 2^(sigma-j) - 1, so no x < 2^sigma adds a
@@ -615,24 +613,24 @@ def test_lane_width_holds_every_step_of_the_walk(sigma):
     assert max(added) == 2 * 3**sigma - 2 and top == 3**sigma - 1
     # so every 3t + 1 fits a lane and every t leaves its top bit to the
     # guard, while one byte less would carry into the next lane
-    w = 8 * verify._lane_bytes(sigma, 1 << sigma)
+    w = 8 * core._lane_bytes(sigma, 1 << sigma)
     assert max(added) < 1 << w and top < 1 << (w - 1)
     assert max(added) >= 1 << (w - 8)
-    assert verify._first_nonmember(xs, sigma) == reference_first_nonmember(xs, sigma)
+    assert ptree._first_nonmember(xs, sigma) == reference_first_nonmember(xs, sigma)
 
 
 @settings(max_examples=200, deadline=None)
 @given(data=st.data(), lanes=st.integers(1, 64), size=st.integers(1, 10))
 def test_one_lane_step_is_t_step_on_every_lane(data, lanes, size):
-    from collatz_stopping import verify
+    from collatz_stopping import core
 
     # any lane value whose 3t + 1 fits the lane, up to 3t + 1 = 2^W - 1
     w = 8 * size
     value = st.integers(1, ((1 << w) - 2) // 3)
     ts = data.draw(st.lists(value, min_size=lanes, max_size=lanes))
-    low, _ = verify._lane_masks(size, lanes)
+    low, _ = core._lane_masks(size, lanes)
     packed = int.from_bytes(b"".join(t.to_bytes(size, "little") for t in ts), "little")
-    stepped = verify._step(packed, low, w).to_bytes(size * lanes, "little")
+    stepped = core._step(packed, low, w).to_bytes(size * lanes, "little")
     lane = lambda i: int.from_bytes(stepped[i * size : (i + 1) * size], "little")
     assert [lane(i) for i in range(lanes)] == [t_step(t) for t in ts]
 
@@ -652,7 +650,7 @@ def reference_count(x, budget):
     case=st.sampled_from(["drawn", "all-even", "no-stop", "shared-prefix"]),
 )
 def test_walk_counts_every_lane_like_the_reference_trajectory(data, budget, case):
-    from collatz_stopping import verify
+    from collatz_stopping import core
 
     lanes = data.draw(st.integers(1, 40))
     draw = lambda lo, top: data.draw(st.lists(st.integers(lo, top), min_size=lanes, max_size=lanes))
@@ -666,10 +664,10 @@ def test_walk_counts_every_lane_like_the_reference_trajectory(data, budget, case
         k = data.draw(st.integers(1, budget))
         xs = [(c << k) - 1 for c in draw(1, 1 << 20)]
     hi = max(xs) + 1
-    size = verify._lane_bytes(budget, hi)
-    ones, guard = verify._lane_masks(size, lanes)
+    size = core._lane_bytes(budget, hi)
+    ones, guard = core._lane_masks(size, lanes)
     x = int.from_bytes(b"".join(v.to_bytes(size, "little") for v in xs), "little")
-    steps, walked = verify._walk(x, ones, guard, 8 * size, budget)
+    steps, walked = core._walk(x, ones, guard, 8 * size, budget)
     raw = steps.to_bytes(size * lanes, "little")
     counted = [int.from_bytes(raw[i * size : (i + 1) * size], "little") for i in range(lanes)]
     expected = [reference_count(v, budget) for v in xs]
@@ -694,12 +692,12 @@ def test_a_level_that_never_closes_is_refused(monkeypatch):
 
 
 def test_level_residues_walks_only_its_own_level(monkeypatch):
-    from collatz_stopping import verify
+    from collatz_stopping import ptree
 
     # a level's classes are walked with its constants: only level 14's here
     walked = []
-    constants = verify._level_constants
-    monkeypatch.setattr(verify, "_level_constants", lambda n: walked.append(n) or constants(n))
+    constants = ptree._level_constants
+    monkeypatch.setattr(ptree, "_level_constants", lambda n: walked.append(n) or constants(n))
     residues = level_residues(14)
     assert walked == [14]
     assert len(residues) == class_counts(14)[-1] == 51_033
@@ -785,7 +783,10 @@ import collatz_stopping
 from collatz_stopping import cli
 
 cli.build_parser()
-code = cli.main(["tuples", "5"])
+commands = [
+    "tuples 5", "residues --sigma-index 5", "oeis A177789 --terms 313", "vset 6 --with-solutions",
+]
+code = max(cli.main(argv.split()) for argv in commands)
 loaded = lambda: [m for m in ("dataclasses", "inspect", "collatz_stopping.verify") if m in sys.modules]
 at_start = loaded()
 if sys.argv[1] == "call":
@@ -806,7 +807,8 @@ def test_start_up_loads_no_dataclasses_until_verify_is_used(first_use):
     code, at_start, works, on_use, resolved, same, unknown = _fresh_interpreter(
         _NO_DATACLASSES_AT_START, first_use
     )
-    # import, parser and a command that needs no verify load none of them
+    # import, parser and the commands that need no verify load none of them:
+    # the class lists and the vset solutions are read off ptree's stream
     assert code == 0 and at_start == []
     # the first use of a verify name loads verify and its dataclasses
     assert works and on_use == ["dataclasses", "inspect", "collatz_stopping.verify"]

@@ -17,7 +17,7 @@ from . import ladder, ptree, triangle
 from .core import Bits, stopping_time
 from .diophantine import solve_vector
 from .ladder import _refuse_above, d, kappa, ladder_rows, min_surviving_n, sigma_n
-from .ptree import export_tree, generate_vset, leading_ones, lex_tuples, ln_count, tree_node_count
+from .ptree import _bits_str, generate_vset, leading_ones, lex_tuples, ln_count, tree_node_count
 from .triangle import build_triangle, class_counts, survivor_counts, w, z_from_triangle
 
 # verify is imported inside sieve and verify, the two commands that use it:
@@ -42,12 +42,12 @@ def _parse_vector(text: str) -> Bits:
     return bits
 
 
-_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
-
-
-def _bits_str(bits: Bits) -> str:
-    # one C-level pass per vector; callers pass 0/1 vectors only
-    return ",".join(bytes(bits).translate(_DIGITS).decode())
+def _write_csv(header: list[str], rows) -> int:
+    """Write the header and the rows as CSV on stdout; returns exit code 0."""
+    writer = csv.writer(sys.stdout)
+    writer.writerow(header)
+    writer.writerows(rows)
+    return 0
 
 
 def _cmd_sigma(args) -> int:
@@ -62,15 +62,11 @@ def _cmd_sigma(args) -> int:
 def _cmd_ladder(args) -> int:
     rows = ladder_rows(args.max_n)
     if args.format == "csv":
-        writer = csv.writer(sys.stdout)
-        writer.writerow(["n", "d", "kappa", "sigma"])
-        for row in rows:
-            writer.writerow([row.n, row.d, row.kappa, row.sigma])
-    else:
-        write = sys.stdout.write
-        write(f"{'n':>6} {'d':>3} {'kappa':>8} {'sigma':>8}\n")
-        for row in rows:
-            write(f"{row.n:>6} {row.d:>3} {row.kappa:>8} {row.sigma:>8}\n")
+        return _write_csv(["n", "d", "kappa", "sigma"], rows)
+    write = sys.stdout.write
+    write(f"{'n':>6} {'d':>3} {'kappa':>8} {'sigma':>8}\n")
+    for row in rows:
+        write(f"{row.n:>6} {row.d:>3} {row.kappa:>8} {row.sigma:>8}\n")
     return 0
 
 
@@ -80,11 +76,8 @@ def _cmd_triangle(args) -> int:
         _refuse_above("triangle columns are", args.max_n, MAX_TRIANGLE_GRID, grid)
     table = build_triangle(args.max_n)
     if args.format == "csv":
-        writer = csv.writer(sys.stdout)
-        writer.writerow(["k", "n", "count"])
-        for (k, n), v in sorted(table.cells.items()):
-            writer.writerow([k, n, v])
-        return 0
+        cells = sorted(table.cells.items())
+        return _write_csv(["k", "n", "count"], ((k, n, v) for (k, n), v in cells))
     # aligned grid with the d header row, w column and z row
     ns = range(1, args.max_n + 1)
     # rows above max_n would be incomplete (they continue into columns n > max_n)
@@ -104,16 +97,14 @@ def _cmd_triangle(args) -> int:
 
 def _cmd_vset(args) -> int:
     if args.format == "dot":
-        sys.stdout.write(export_tree(args.n, with_solutions=args.with_solutions))
+        sys.stdout.write(ptree.export_tree(args.n, with_solutions=args.with_solutions))
         return 0
     entries = generate_vset(args.n)
     solutions = ptree._level_solutions(args.n) if args.with_solutions else [()] * len(entries)
     if args.format == "csv":
-        writer = csv.writer(sys.stdout)
-        writer.writerow(["bits", "h", "p"] + (["x", "y"] if args.with_solutions else []))
-        for e, sol in zip(entries, solutions):
-            writer.writerow(["".join(map(str, e.vector)), e.h, e.p, *sol])
-        return 0
+        header = ["bits", "h", "p"] + (["x", "y"] if args.with_solutions else [])
+        rows = ((_bits_str(e.vector, ""), e.h, e.p, *sol) for e, sol in zip(entries, solutions))
+        return _write_csv(header, rows)
     write = sys.stdout.write
     for e, sol in zip(entries, solutions):
         tail = " {} {}\n".format(*sol) if sol else "\n"
@@ -157,11 +148,8 @@ def _cmd_sieve(args) -> int:
 
     records = sieve(args.k)
     if args.format == "csv":
-        writer = csv.writer(sys.stdout)
-        writer.writerow(["r", "k", "q", "n", "surviving"])
-        for rec in records:
-            writer.writerow([rec.r, rec.k, rec.q, rec.n, rec.surviving])
-        return 0
+        rows = ((rec.r, rec.k, rec.q, rec.n, rec.surviving) for rec in records)
+        return _write_csv(["r", "k", "q", "n", "surviving"], rows)
     survivors = [rec for rec in records if rec.surviving]
     write = sys.stdout.write
     for i, rec in enumerate(survivors, start=1):

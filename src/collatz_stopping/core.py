@@ -65,23 +65,20 @@ def parity_vector_of(x: int, n: int) -> Bits:
 
 def forward_map(r: int, k: int) -> tuple[int, int]:
     """Push the residue r through k steps: (q, n) with q = T^k(r) and n the
-    number of odd terms among T^0(r) .. T^(k-1)(r).
+    number of odd terms among T^0(r) .. T^(k-1)(r), both read off
+    trajectory(r, k), whose step bound it inherits; r = 0 gives (0, 0).
 
     For every m >= 0, T^k(r + m*2^k) = q + m*3^n: the whole class r (mod 2^k)
     shares the parity prefix, so the class moves rigidly onto q (mod 3^n).
     """
     if k < 1:
         raise ValueError(f"step count must be >= 1, got {k}")
-    if not 0 <= r < (1 << k):
+    if r < 0 or r.bit_length() > k:
         raise ValueError(f"residue must satisfy 0 <= r < 2^{k}, got {r}")
-    t, n = r, 0
-    for _ in range(k):
-        if t & 1:
-            t = (3 * t + 1) // 2
-            n += 1
-        else:
-            t //= 2
-    return t, n
+    if not r:
+        return 0, 0
+    *head, q = trajectory(r, k)
+    return q, sum(t & 1 for t in head)
 
 
 WALK_LANES = 1024  # lanes per packed int: 5 KB walking sigma_14, 8 KB scanning near 2^48
@@ -92,6 +89,11 @@ def _lane_masks(size: int, lanes: int) -> tuple[int, int]:
     bit and each lane's top bit (the guard)."""
     low = int.from_bytes(b"\1".ljust(size, b"\0") * lanes, "little")
     return low, low << (8 * size - 1)
+
+
+def _pack(xs, size: int) -> int:
+    """The ints xs, each below 2^(8 * size), as size-byte lanes of one int."""
+    return int.from_bytes(b"".join([x.to_bytes(size, "little") for x in xs]), "little")
 
 
 def _step(t: int, low: int, w: int) -> int:

@@ -18,8 +18,9 @@ from functools import lru_cache
 from itertools import compress
 from typing import TYPE_CHECKING, NamedTuple
 
+from . import ladder
 from .core import Bits, parity_vector_of
-from .ladder import d, kappa, sigma_n
+from .ladder import _refuse_above, d, kappa, sigma_n
 
 if TYPE_CHECKING:
     from .ptree import VSetEntry
@@ -122,12 +123,12 @@ def solve_vector(v: Bits) -> Solution:
 
 def check_corollary1(x: int, h: int) -> bool:
     """Leading-ones congruence: x = 2^h - 1 (mod 2^(h+1)) for a solution
-    whose vector starts with h ones."""
+    whose vector starts with h ones, read off x + 1's lowest set bit."""
     if h < 2:
         raise ValueError(f"h must be >= 2, got {h}")
     if x % 2 == 0:
         raise ValueError(f"solutions are odd, got {x}")
-    return x % (1 << (h + 1)) == (1 << h) - 1
+    return ((x + 1) & -(x + 1)).bit_length() == h + 1
 
 
 def lambda_step(x_prev: int, n: int) -> tuple[int, int]:
@@ -165,10 +166,13 @@ def check_corollary3_delta(
     delta = (x_child - x_parent) / 2^(kappa(n)-j) must divide exactly (a
     non-exact division means the pairing is structurally wrong, hence the
     raise); ok is True when delta = 1 (mod 8) for odd n and delta = 3
-    (mod 8) for even n.  j is the child's trailing-zero run.
+    (mod 8) for even n.  j is the child's trailing-zero run.  n above
+    ladder.MAX_LADDER_TERMS (read per call) is refused before kappa(n) runs.
     """
     if n < 2:
         raise ValueError(f"level must be >= 2, got {n}")
+    bound = ladder.MAX_LADDER_TERMS
+    _refuse_above("step-2 quotients are", n, bound, lambda: f"n <= {bound}")
     if j < 1:
         raise ValueError(f"trailing-zero run must be >= 1, got {j}")
     base = 1 << (kappa(n) - j)

@@ -22,12 +22,12 @@ from __future__ import annotations
 
 from collections import Counter
 from functools import lru_cache
-from itertools import combinations, repeat
+from itertools import combinations
 from math import comb
 from typing import NamedTuple
 
 from . import ladder
-from .core import WALK_LANES, Bits, _lane_bytes, _lane_masks, _walk
+from .core import WALK_LANES, Bits, _lane_bytes, _lane_masks, _pack, _walk
 from .diophantine import _level_constants, solve_vector
 from .ladder import _refuse_above, kappa
 from .triangle import class_counts
@@ -63,6 +63,14 @@ class VSetEntry(NamedTuple):
 
 
 ROOT = VSetEntry(vector=(1, 1), n=1, h=2, p=1, parent=None)
+
+
+_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+
+
+def _bits_str(bits: Bits, sep: str = ",") -> str:
+    """A 0/1 vector's digits joined by sep, one C-level pass per vector."""
+    return sep.join(bytes(bits).translate(_DIGITS).decode())
 
 
 def leading_ones(bits: Bits) -> int:
@@ -113,10 +121,7 @@ def _first_nonmember(xs: list[int], sig: int) -> int | None:
     for start in range(0, len(xs), WALK_LANES):
         chunk = xs[start : start + WALK_LANES]
         ones, guard = _lane_masks(size, len(chunk))
-        x = int.from_bytes(
-            b"".join(map(int.to_bytes, chunk, repeat(size), repeat("little"))), "little"
-        )
-        if bad := _walk(x, ones, guard, w, sig)[0] ^ (sig - 1) * ones:
+        if bad := _walk(_pack(chunk, size), ones, guard, w, sig)[0] ^ (sig - 1) * ones:
             return start + ((bad & -bad).bit_length() - 1) // w
     return None
 
@@ -273,7 +278,7 @@ def export_tree(n: int, *, with_solutions: bool = False) -> str:
         lines.append(f"  {{ rank=same; /* level {level} */")
         xs = _level_classes(level) if with_solutions else None
         for i, entry in enumerate(entries):
-            label = "(" + ",".join(map(str, entry.vector)) + ")"
+            label = f"({_bits_str(entry.vector)})"
             if xs:
                 label += f"\\nx={xs[i]}"
             lines.append(f'    v{level}_{i} [label="{label}"];')

@@ -13,7 +13,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 
-from .core import WALK_LANES, _lane_bytes, _lane_masks, _walk
+from .core import WALK_LANES, _lane_bytes, _lane_masks, _pack, _walk
 from .ladder import _refuse_above, kappa, sigma_n
 from . import ptree
 from .triangle import survivor_counts
@@ -165,9 +165,7 @@ def _scan_block(lo: int, hi: int, table: bytearray) -> tuple:
     w = 8 * size
     lanes = min(WALK_LANES, len(range(lo, hi, stride)))
     low, top = _lane_masks(size, lanes)
-    index = int.from_bytes(
-        b"".join(i.to_bytes(size, "little") for i in range(0, stride * lanes, stride)), "little"
-    )
+    index = _pack(range(0, stride * lanes, stride), size)
     # v steps at or above x: stopped at v + 1; a stop at the budget is beyond
     # the table, like no stop at all, and both read 0
     stopped = bytes(range(1, budget)) + bytes(257 - budget)

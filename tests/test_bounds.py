@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from collatz_stopping import core, ladder, ptree, triangle, verify
+from collatz_stopping import core, diophantine, ladder, ptree, triangle, verify
 
 # name: (call, first refused request, deepest triangle row roll its refusal text
 # may make: 14 for the class count of levels 1..14, 26 for w(26), 11 for the
@@ -28,6 +28,8 @@ BOUNDED = {
     "ladder_rows": (ladder.ladder_rows, 100_001, 0),
     "parity_vector_of": (lambda n: core.parity_vector_of(3, n), 100_001, 0),
     "trajectory": (lambda steps: core.trajectory(3, steps), 158_497, 0),
+    "forward_map": (lambda k: core.forward_map(1, k), 158_497, 0),
+    "check_corollary3_delta": (lambda n: diophantine.check_corollary3_delta(0, 0, n, 1), 100_001, 0),
     "sieve": (verify.sieve, 27, 26),
     "export_tree": (ptree.export_tree, 11, 11),
     "ln_count": (ptree.ln_count, 100_001, 0),

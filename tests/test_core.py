@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from collatz_stopping import core
 from collatz_stopping.core import (
     forward_map,
     parity_vector_of,
@@ -73,6 +74,27 @@ def test_forward_map_examples():
 def test_forward_map_rejects_out_of_range_residue():
     with pytest.raises(ValueError):
         forward_map(16, 4)
+    for k in range(1, 9):
+        for r in (1 << k, -1):
+            refusal = rf"^residue must satisfy 0 <= r < 2\^{k}, got {r}$"
+            with pytest.raises(ValueError, match=refusal):
+                forward_map(r, k)
+
+
+def test_forward_map_takes_both_ends_of_the_residue_range():
+    for k in range(1, 9):
+        assert forward_map(0, k) == (0, 0)
+        # T^j(c * 2^i - 1) = c * 3^j * 2^(i-j) - 1: every step is odd
+        assert forward_map((1 << k) - 1, k) == (3**k - 1, k)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), size=st.integers(1, 10), lanes=st.integers(0, 64))
+def test_pack_puts_each_value_in_its_own_lane(data, size, lanes):
+    value = st.integers(0, (1 << 8 * size) - 1)
+    xs = data.draw(st.lists(value, min_size=lanes, max_size=lanes))
+    raw = core._pack(xs, size).to_bytes(size * lanes, "little")
+    assert [int.from_bytes(raw[i * size : (i + 1) * size], "little") for i in range(lanes)] == xs
 
 
 @given(st.integers(min_value=1, max_value=20), st.data())

@@ -1,3 +1,5 @@
+import time
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -175,6 +177,21 @@ def test_check_corollary1_examples():
     assert check_corollary1(59, 2)
     assert check_corollary1(383, 7)
     assert not check_corollary1(9, 2)
+
+
+@settings(max_examples=300, deadline=None)
+@given(x=st.integers(-(1 << 70), 1 << 70).map(lambda v: v | 1), h=st.integers(2, 80))
+def test_check_corollary1_is_the_modular_congruence(x, h):
+    hit = x - x % (1 << (h + 1)) + (1 << h) - 1  # x's block member of the class
+    for v in (x, hit, hit + (1 << h)):
+        assert check_corollary1(v, h) == (v % (1 << (h + 1)) == (1 << h) - 1)
+    assert check_corollary1(hit, h) and not check_corollary1(hit + (1 << h), h)
+
+
+def test_check_corollary1_builds_no_power_of_two_of_size_h():
+    t0 = time.perf_counter()
+    assert not check_corollary1(3, 10**9)
+    assert time.perf_counter() - t0 < 0.1
 
 
 def test_lambda_step_examples():

@@ -36,16 +36,21 @@ def trajectory(x: int, steps: int) -> list[int]:
 
 
 def stopping_time(x: int, cap: int) -> int | None:
-    """Least s with T^s(x) < x, or None when not reached within cap steps.
+    """Least s with T^s(x) < x, or None when not reached within cap steps,
+    cap <= kappa(MAX_LADDER_TERMS) like trajectory's steps.
 
     None is the explicit "unknown" outcome: a hypothetical divergent orbit
     exhausts the budget instead of looping forever.  x = 1 is excluded
-    (T(1) = 2 never drops below 1).
+    (T(1) = 2 never drops below 1).  Each step still costs time linear in
+    x's bits; at the CLI, Python's 4,300-digit int parsing limit bounds x.
     """
     if x < 2:
         raise ValueError(f"stopping time is undefined for x < 2, got {x}")
     if cap < 1:
         raise ValueError(f"cap must be >= 1, got {cap}")
+    n = ladder.MAX_LADDER_TERMS
+    bound = ladder.kappa(n)
+    ladder._refuse_above("step caps are", cap, bound, lambda: f"{bound} steps (kappa({n}))")
     t = x
     for s in range(1, cap + 1):
         t = t // 2 if t % 2 == 0 else (3 * t + 1) // 2

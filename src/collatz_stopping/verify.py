@@ -11,6 +11,7 @@ scan reads each integer's stopping time off core's lane engine, _walk.
 from __future__ import annotations
 
 import os
+from collections import Counter
 from dataclasses import dataclass
 
 from .core import WALK_LANES, _lane_bytes, _lane_masks, _pack, _walk
@@ -141,26 +142,29 @@ def _prediction_table(n_max: int) -> bytearray:
 GROUP_STRIDE = 1 << 8  # a scan group's lanes: one residue mod 2^8, 8 parities shared
 
 
-def _scan_block(lo: int, hi: int, table: bytearray) -> tuple:
+def _scan_block(lo: int, hi: int, n_max: int) -> tuple:
     """Counts by simulated stopping time (None: beyond the table) and the
-    ascending mismatches of every x in [lo, hi) against table.
+    ascending mismatches of every x in [lo, hi) against n_max's table.
 
-    [lo, hi) is cut into chunks of GROUP_STRIDE * WALK_LANES integers.  In a
-    chunk, group x0 holds x0 + i * GROUP_STRIDE, packed into one int of
-    W-bit lanes (W = _lane_bytes(budget, hi)) as x0 * low + index, and walked
-    by _walk until every lane has stopped or the budget, one step past the
-    table's last sigma, is spent.  Its lanes share their first 8 parities,
-    so a group whose residue stops early stops together.  Byte 0 of each
-    lane counts the steps it stayed at or above x, its stopping time less
-    one.  The simulated times are compared with the group's table bytes
-    and counted in C; only a group that differs is looked at lane by lane.
-    Memory is bounded by one group's int, about 8 KB near hi = 2^48,
-    whatever the range's width.
+    [lo, hi) is cut at multiples of GROUP_STRIDE * WALK_LANES into chunks,
+    and a table shorter than a chunk is repeated to one, so no group's
+    stepped table slice wraps.  In a chunk, group x0 holds x0 + i *
+    GROUP_STRIDE, packed into one int of W-bit lanes (W = _lane_bytes(budget,
+    hi)) as x0 * low + index, and walked by _walk until every lane has
+    stopped or the budget, one step past the table's last sigma, is spent.
+    Its lanes share their first 8 parities, so a group whose residue stops
+    early stops together.  Byte 0 of each lane counts the steps it stayed at
+    or above x, its stopping time less one.  The simulated times are
+    compared with the group's table bytes and counted in C; only a group
+    that differs is looked at lane by lane.  Beyond the table, memory is one
+    group's int, about 8 KB near hi = 2^48, whatever the range's width.
     """
-    mask = len(table) - 1
-    budget = len(table).bit_length()  # one step past the table's last sigma
+    budget = sigma_n(n_max) + 1
     stride = GROUP_STRIDE
     span = stride * WALK_LANES
+    table = _prediction_table(n_max)
+    table *= max(1, span // len(table))  # only n_max <= 9 is shorter than a chunk
+    mask = len(table) - 1
     size = _lane_bytes(budget, hi)
     w = 8 * size
     lanes = min(WALK_LANES, len(range(lo, hi, stride)))
@@ -171,14 +175,13 @@ def _scan_block(lo: int, hi: int, table: bytearray) -> tuple:
     stopped = bytes(range(1, budget)) + bytes(257 - budget)
     counts = [0] * budget  # by simulated stopping time, 0: beyond the table
     mismatches = []
-    for chunk in range(lo, hi, span):
-        end = min(hi, chunk + span)
-        found = []
-        for x0 in range(chunk, min(end, chunk + stride)):
+    for chunk in range(lo - lo % span, hi, span):
+        first, end = max(lo, chunk), min(hi, chunk + span)
+        for x0 in range(first, min(end, first + stride)):
             n = len(range(x0, end, stride))
             if n == lanes:
                 ones, base, guard = low, index, top
-            else:  # the range's last chunk: a shorter group
+            else:  # a group of a chunk the range cuts: fewer lanes
                 cut = (1 << (w * n)) - 1
                 ones, base, guard = low & cut, index & cut, top & cut
             steps, walked = _walk(x0 * ones + base, ones, guard, w, budget)
@@ -186,25 +189,16 @@ def _scan_block(lo: int, hi: int, table: bytearray) -> tuple:
             sims = raw.translate(stopped)
             start = x0 & mask
             pred = table[start : start + stride * n : stride]
-            if len(pred) < n:  # the lanes run past the table's end: it repeats
-                head = start % stride
-                period = table[head : head + stride * n : stride]
-                pred = (pred + period * (n // len(period) + 1))[:n]
             for s in range(min(walked + 1, budget)):
                 counts[s] += sims.count(s)
             if sims != pred:
-                for i, (p, s) in enumerate(zip(pred, sims)):
+                for i, (p, s) in enumerate(zip(pred, sims, strict=True)):
                     if p != s:
                         v = raw[i]
-                        found.append((x0 + i * stride, p or None, v + 1 if v < budget else None))
-        found.sort()
-        mismatches += found
+                        sim = v + 1 if v < budget else None
+                        mismatches.append((x0 + i * stride, p or None, sim))
+    mismatches.sort()
     return {s or None: c for s, c in enumerate(counts) if c}, mismatches
-
-
-def _scan_share(lo: int, hi: int, n_max: int) -> tuple:
-    """One worker's share: it is sent n_max, not the table, and builds its own."""
-    return _scan_block(lo, hi, _prediction_table(n_max))
 
 
 def verify_range(
@@ -219,11 +213,11 @@ def verify_range(
     counted as beyond_table, not as mismatches (they must then lie in no
     class at all).  Every x is simulated and compared with its table byte by
     _scan_block's lane walk: WALK_LANES integers of one residue mod
-    GROUP_STRIDE per big-integer step, mismatches in ascending x.  The range
-    is scanned in one call, or cut into one contiguous share per worker
-    process, at most min(jobs, ceil(width / BLOCK_SIZE), CPUs) of them, each
-    with its own table; shares merge in ascending order, so every jobs
-    setting gives one report.
+    GROUP_STRIDE per big-integer step, mismatches in ascending x.  The serial
+    call and every worker's share run _scan_block(lo, hi, n_max): one call,
+    or one contiguous share per worker process, at most min(jobs,
+    ceil(width / BLOCK_SIZE), CPUs) of them; shares merge in ascending
+    order, so every jobs setting gives one report.
     """
     if x_lo < 2:
         raise ValueError(f"x_lo must be >= 2, got {x_lo}")
@@ -235,19 +229,18 @@ def verify_range(
     # the pool starts all max_workers processes at the first submit
     workers = min(jobs, len(range(x_lo, x_hi, BLOCK_SIZE)), os.cpu_count() or 1)
     if workers <= 1:
-        results = [_scan_block(x_lo, x_hi, _prediction_table(n_max))]
+        results = [_scan_block(x_lo, x_hi, n_max)]
     else:
         # imported here: it loads multiprocessing, which no other path needs
         from concurrent.futures import ProcessPoolExecutor
 
         cuts = [x_lo + (x_hi - x_lo) * i // workers for i in range(workers + 1)]
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_scan_share, cuts[:-1], cuts[1:], [n_max] * workers))
-    counts: dict[int | None, int] = {}
+            results = list(pool.map(_scan_block, cuts[:-1], cuts[1:], [n_max] * workers))
+    counts: Counter[int | None] = Counter()
     mismatches: list[tuple[int, int | None, int | None]] = []
     for share_counts, share_mism in results:
-        for sig, c in share_counts.items():
-            counts[sig] = counts.get(sig, 0) + c
+        counts.update(share_counts)
         mismatches.extend(share_mism)
     beyond = counts.pop(None, 0)
     return VerificationReport(

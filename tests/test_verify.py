@@ -341,15 +341,18 @@ NINE_BYTE_HI = -(-(1 << 63) // 3**17) << 17
         ((5 << 20) - 900, 6000, 12),
         ((1 << 40) + 7, 0, 9),
         (NINE_BYTE_HI - 3000, 3000, 9),
+        ((3 << 18) - 700, 2000, 9),
     ],
     ids=["wider-than-a-chunk", "table-shorter-than-stride", "from-2", "lanes-past-64-bits",
-         "lanes-past-the-table-end", "empty", "first-nine-byte-lanes"],
+         "lanes-past-the-table-end", "empty", "first-nine-byte-lanes", "into-the-next-chunk"],
 )
 def test_scan_edges_agree_with_the_reference_scan(lo, width, n_max):
-    # past the Hypothesis widths: a second, shorter chunk that starts off the
+    # past the Hypothesis widths: a chunk that the range enters off its first
     # stride; n_max 1's 16-byte table; lanes wider than 8 bytes; at n_max 12
-    # (a 2^20-byte table) groups whose lanes wrap past the table's end; and a
-    # window whose last x needs the ninth byte that its hi first brings
+    # (a 2^20-byte table) a window across the table's end; a window whose
+    # last x needs the ninth byte that its hi first brings; and n_max 9's
+    # 64 KB table repeated to one chunk, in a window whose first group starts
+    # past its chunk's first stride and that runs into the next chunk
     assert verify_range(lo, lo + width, n_max) == reference_report(lo, lo + width, n_max)
 
 
@@ -905,10 +908,13 @@ def test_pool_shares_build_their_own_tables(monkeypatch):
     # each share is sent n_max and builds its table; the parent builds none
     assert built == [4, 4] and len(pools) == 1
     assert report == reference_report(2, 2 + 2 * 64, 4)
+    # the serial call runs the same unit, which builds exactly one table
+    assert verify_range(2, 2 + 2 * 64, 4, jobs=1) == report
+    assert built == [4, 4, 4] and len(pools) == 1
     # an oversized n_max is refused before any pool or table is made
     with pytest.raises(ValueError, match=r"bounded at n <= 14 .*; requested 15$"):
         verify_range(2, 1 << 20, 15, jobs=2)
-    assert built == [4, 4] and len(pools) == 1
+    assert built == [4, 4, 4] and len(pools) == 1
 
 
 def test_parallel_merge_keeps_mismatch_order_across_shares(monkeypatch):

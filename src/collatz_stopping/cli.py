@@ -16,7 +16,7 @@ from typing import Callable, NamedTuple
 from . import ladder, ptree, triangle
 from .core import Bits, stopping_time
 from .diophantine import solve_vector
-from .ladder import _refuse_above, d, kappa, ladder_rows, min_surviving_n, sigma_n
+from .ladder import _refuse_above, _refuse_below, d, kappa, ladder_rows, min_surviving_n, sigma_n
 from .ptree import _bits_str, generate_vset, leading_ones, lex_tuples, ln_count, tree_node_count
 from .triangle import build_triangle, class_counts, survivor_counts, w, z_from_triangle
 
@@ -163,8 +163,7 @@ def _cmd_verify(args) -> int:
 
     ints = lambda: f"--max-bits <= {MAX_VERIFY_BITS} ({2**MAX_VERIFY_BITS - 2} integers)"
     _refuse_above("verify ranges are", args.max_bits, MAX_VERIFY_BITS, ints)
-    if args.max_bits < 2:
-        raise ValueError(f"--max-bits must be >= 2, got {args.max_bits}")
+    _refuse_below("--max-bits", args.max_bits, 2)
     report = verify_range(2, 1 << args.max_bits, args.n_max, jobs=args.jobs)
     print(f"range [2, 2^{args.max_bits}), n_max={args.n_max}")
     for sig in sorted(report.counts):
@@ -222,8 +221,9 @@ def _oeis_terms(seq: str, terms: int) -> list[int]:
 
 
 def _cmd_oeis(args) -> int:
-    if args.terms < 1:
-        raise ValueError(f"terms must be >= 1, got {args.terms}")
+    _refuse_below("terms", args.terms, 1)
+    if args.offset is not None and args.format != "bfile":
+        raise ValueError("--offset applies only to --format bfile")
     values = _oeis_terms(args.sequence, args.terms)
     if args.format == "text":
         sys.stdout.write(" ".join(map(str, values)) + "\n")

@@ -14,17 +14,14 @@ Bits = tuple[int, ...]
 
 def t_step(x: int) -> int:
     """One map application: x/2 for even x, (3x+1)/2 for odd x."""
-    if x < 1:
-        raise ValueError(f"x must be >= 1, got {x}")
+    ladder._refuse_below("x", x, 1)
     return x // 2 if x % 2 == 0 else (3 * x + 1) // 2
 
 
 def trajectory(x: int, steps: int) -> list[int]:
     """The terms T^0(x) .. T^steps(x), steps <= kappa(MAX_LADDER_TERMS)."""
-    if x < 1:
-        raise ValueError(f"x must be >= 1, got {x}")
-    if steps < 0:
-        raise ValueError(f"steps must be >= 0, got {steps}")
+    ladder._refuse_below("x", x, 1)
+    ladder._refuse_below("steps", steps, 0)
     n = ladder.MAX_LADDER_TERMS
     bound = ladder.kappa(n)
     ladder._refuse_above("trajectories are", steps, bound, lambda: f"{bound} steps (kappa({n}))")
@@ -46,8 +43,7 @@ def stopping_time(x: int, cap: int) -> int | None:
     """
     if x < 2:
         raise ValueError(f"stopping time is undefined for x < 2, got {x}")
-    if cap < 1:
-        raise ValueError(f"cap must be >= 1, got {cap}")
+    ladder._refuse_below("cap", cap, 1)
     n = ladder.MAX_LADDER_TERMS
     bound = ladder.kappa(n)
     ladder._refuse_above("step caps are", cap, bound, lambda: f"{bound} steps (kappa({n}))")
@@ -61,8 +57,7 @@ def stopping_time(x: int, cap: int) -> int | None:
 
 def parity_vector_of(x: int, n: int) -> Bits:
     """Parities of T^0(x) .. T^kappa(n)(x), a 0/1 tuple of length kappa(n)+1."""
-    if n < 1:
-        raise ValueError(f"level must be >= 1, got {n}")
+    ladder._refuse_below("level", n, 1)
     bound = ladder.MAX_LADDER_TERMS
     ladder._refuse_above("parity vectors are", n, bound, lambda: f"n <= {bound}")
     return tuple(t & 1 for t in trajectory(x, ladder.kappa(n)))
@@ -76,8 +71,7 @@ def forward_map(r: int, k: int) -> tuple[int, int]:
     For every m >= 0, T^k(r + m*2^k) = q + m*3^n: the whole class r (mod 2^k)
     shares the parity prefix, so the class moves rigidly onto q (mod 3^n).
     """
-    if k < 1:
-        raise ValueError(f"step count must be >= 1, got {k}")
+    ladder._refuse_below("step count", k, 1)
     if r < 0 or r.bit_length() > k:
         raise ValueError(f"residue must satisfy 0 <= r < 2^{k}, got {r}")
     if not r:

@@ -20,7 +20,7 @@ from typing import TYPE_CHECKING, NamedTuple
 
 from . import ladder
 from .core import Bits, parity_vector_of
-from .ladder import _refuse_above, d, kappa, sigma_n
+from .ladder import _refuse_above, _refuse_below, d, kappa, sigma_n
 
 if TYPE_CHECKING:
     from .ptree import VSetEntry
@@ -124,8 +124,7 @@ def solve_vector(v: Bits) -> Solution:
 def check_corollary1(x: int, h: int) -> bool:
     """Leading-ones congruence: x = 2^h - 1 (mod 2^(h+1)) for a solution
     whose vector starts with h ones, read off x + 1's lowest set bit."""
-    if h < 2:
-        raise ValueError(f"h must be >= 2, got {h}")
+    _refuse_below("h", h, 2)
     if x % 2 == 0:
         raise ValueError(f"solutions are odd, got {x}")
     return ((x + 1) & -(x + 1)).bit_length() == h + 1
@@ -140,8 +139,7 @@ def lambda_step(x_prev: int, n: int) -> tuple[int, int]:
     when sigma_n(n) = kappa(n) + 2 the multipliers lam and lam + 4 name the
     same residue.  Agreement with solve_vector is checked.
     """
-    if n < 2:
-        raise ValueError(f"level must be >= 2, got {n}")
+    _refuse_below("level", n, 2)
     child = parity_vector_of(x_prev, n - 1) + ((1,) if d(n) == 1 else (0, 1))
     solved = solve_vector(child).x  # also validates the child
     _, mod, p3, _ = _level_constants(n)
@@ -169,12 +167,10 @@ def check_corollary3_delta(
     (mod 8) for even n.  j is the child's trailing-zero run.  n above
     ladder.MAX_LADDER_TERMS (read per call) is refused before kappa(n) runs.
     """
-    if n < 2:
-        raise ValueError(f"level must be >= 2, got {n}")
+    _refuse_below("level", n, 2)
     bound = ladder.MAX_LADDER_TERMS
     _refuse_above("step-2 quotients are", n, bound, lambda: f"n <= {bound}")
-    if j < 1:
-        raise ValueError(f"trailing-zero run must be >= 1, got {j}")
+    _refuse_below("trailing-zero run", j, 1)
     base = 1 << (kappa(n) - j)
     diff = x_child - x_parent
     if diff % base:
@@ -225,8 +221,7 @@ def predict_corollary3_explicit(
     """
     if not 2 <= n <= 8:
         raise ValueError(f"explicit rules are stated for 2 <= n <= 8, got {n}")
-    if j < 1:
-        raise ValueError(f"trailing-zero run must be >= 1, got {j}")
+    _refuse_below("trailing-zero run", j, 1)
     if d_n not in (1, 2):
         raise ValueError(f"d_n must be 1 or 2, got {d_n}")
     kn = kappa(n)
@@ -249,8 +244,7 @@ def check_corollary4(entries: list["VSetEntry"], solutions: list[Solution]) -> b
     if not entries or len(entries) != len(solutions):
         raise ValueError("entries and solutions must be parallel and non-empty")
     n = entries[0].n
-    if n < 2:
-        raise ValueError(f"level must be >= 2, got {n}")
+    _refuse_below("level", n, 2)
     if (entries[-1].h, entries[-1].p) != (n + 1, 1):
         raise ValueError(f"the last entry must be level {n}'s all-leading-ones vector")
     idx = max(i for i, e in enumerate(entries) if e.h == n)

@@ -2,9 +2,9 @@
 
 Everything here compares powers of 2 and 3 as big integers.  Floating-point
 logarithms are never used: near n = 40 the operands leave the double range
-and floor(n * log2(3)) computed in doubles starts to drift.  The one size
-refusal, `_refuse_above`, lives here because this module imports no other
-module of the package.
+and floor(n * log2(3)) computed in doubles starts to drift.  Both refusals,
+`_refuse_below` for a too-small parameter and `_refuse_above` for a too-large
+request, live here because this module imports no other module of the package.
 """
 
 from __future__ import annotations
@@ -22,6 +22,12 @@ def _refuse_above(what: str, request: int, bound: int, limit: Callable[[], str])
     costs the same whatever was requested; limit() runs only when refusing."""
     if request > bound:
         raise ValueError(f"{what} bounded at {limit()}; requested {request}")
+
+
+def _refuse_below(what: str, value: int, least: int) -> None:
+    """Raise ValueError when value < least, stating both."""
+    if value < least:
+        raise ValueError(f"{what} must be >= {least}, got {value}")
 
 
 class LadderRow(NamedTuple):
@@ -46,8 +52,7 @@ def kappa(n: int) -> int:
     b - 1 = 0 for 3^0 = 1).  Ascending calls reuse the previous power.
     """
     global _last_power
-    if n < 0:
-        raise ValueError(f"level must be >= 0, got {n}")
+    _refuse_below("level", n, 0)
     m, power = _last_power
     power = power * 3 if m == n - 1 else 3**n
     _last_power = (n, power)
@@ -57,16 +62,14 @@ def kappa(n: int) -> int:
 def sigma_n(n: int) -> int:
     """Stopping time of every starting value whose stopping prefix contains
     n odd terms after the first: kappa(n+1) + 1."""
-    if n < 1:
-        raise ValueError(f"level must be >= 1, got {n}")
+    _refuse_below("level", n, 1)
     return kappa(n + 1) + 1
 
 
 def d(n: int) -> int:
     """kappa(n) - kappa(n-1): the number of powers of 2 strictly between
     3^(n-1) and 3^n.  Always 1 or 2."""
-    if n < 1:
-        raise ValueError(f"level must be >= 1, got {n}")
+    _refuse_below("level", n, 1)
     gap = kappa(n) - kappa(n - 1)
     if gap not in (1, 2):
         raise RuntimeError(f"kappa gap at level {n} is {gap}, not 1 or 2")
@@ -81,14 +84,12 @@ def min_surviving_n(k: int) -> int:
     a residue (mod 2^k) with fewer odd steps has already stopped.  kappa is
     increasing and kappa(k) >= k, so a bisection over 1..k finds it.
     """
-    if k < 1:
-        raise ValueError(f"bit depth must be >= 1, got {k}")
+    _refuse_below("bit depth", k, 1)
     return bisect_left(range(1, k + 1), k, key=kappa) + 1
 
 
 def ladder_rows(max_n: int) -> list[LadderRow]:
     """Rows (n, d(n), kappa(n), sigma_n(n)) for n = 1..max_n <= MAX_LADDER_TERMS."""
-    if max_n < 1:
-        raise ValueError(f"max_n must be >= 1, got {max_n}")
+    _refuse_below("max_n", max_n, 1)
     _refuse_above("ladder rows are", max_n, MAX_LADDER_TERMS, lambda: f"n <= {MAX_LADDER_TERMS}")
     return [LadderRow(n, d(n), kappa(n), sigma_n(n)) for n in range(1, max_n + 1)]

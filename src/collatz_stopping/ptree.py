@@ -29,7 +29,7 @@ from typing import NamedTuple
 from . import ladder
 from .core import WALK_LANES, Bits, _lane_bytes, _lane_masks, _pack, _walk
 from .diophantine import _level_constants, solve_vector
-from .ladder import _refuse_above, kappa
+from .ladder import _refuse_above, _refuse_below, kappa
 from .triangle import class_counts
 
 MAX_RESIDUE_LEVEL = 14  # verify_range's table at this level: 2^sigma_14 bytes, 16 MB
@@ -41,8 +41,7 @@ def _level_limit() -> str:
 
 def _check_level(n: int, what: str = "residue levels are", limit=_level_limit) -> None:
     """Refuse a level below 1 or above MAX_RESIDUE_LEVEL, stated by limit()."""
-    if n < 1:
-        raise ValueError(f"level must be >= 1, got {n}")
+    _refuse_below("level", n, 1)
     _refuse_above(what, n, MAX_RESIDUE_LEVEL, limit)
 
 
@@ -216,8 +215,7 @@ def phn_counts(n: int) -> dict[int, int]:
 
 def ln_count(n: int) -> int:
     """Candidate tuples at level n <= MAX_LADDER_TERMS: C(kappa(n)-1, n-1), exact."""
-    if n < 1:
-        raise ValueError(f"level must be >= 1, got {n}")
+    _refuse_below("level", n, 1)
     bound = ladder.MAX_LADDER_TERMS
     _refuse_above("candidate tuple counts are", n, bound, lambda: f"n <= {bound}")
     return comb(kappa(n) - 1, n - 1)
@@ -262,8 +260,7 @@ def export_tree(n: int, *, with_solutions: bool = False) -> str:
     by counting levels only until the guard is passed.  Like vset_levels, it
     rebuilds the VSetEntrys of levels 1..n on every call.
     """
-    if n < 1:
-        raise ValueError(f"level must be >= 1, got {n}")
+    _refuse_below("level", n, 1)
     fits, nodes = 0, 0
     while (more := tree_node_count(fits + 1)) <= DEFAULT_MAX_NODES:
         fits, nodes = fits + 1, more

@@ -19,7 +19,7 @@ from __future__ import annotations
 from itertools import islice
 from typing import NamedTuple
 
-from .ladder import _refuse_above, kappa, min_surviving_n
+from .ladder import _refuse_above, _refuse_below, kappa, min_surviving_n
 
 MAX_TRIANGLE_TERMS = 1_000  # build_triangle(1000): 293,273 cells, 57 MB as CSV
 
@@ -48,8 +48,7 @@ def _rows(max_n: int):
 
 def build_triangle(max_n: int) -> TriangleTable:
     """Every cell of columns 2..max_n; column n holds rows k = n .. kappa(n)."""
-    if max_n < 2:
-        raise ValueError(f"max_n must be >= 2, got {max_n}")
+    _refuse_below("max_n", max_n, 2)
     bound = MAX_TRIANGLE_TERMS
     _refuse_above("triangle columns are", max_n, bound, lambda: f"n <= {bound}")
     cells = {(k, n): v for k, lo, row in _rows(max_n) for n, v in enumerate(row, lo)}
@@ -58,8 +57,7 @@ def build_triangle(max_n: int) -> TriangleTable:
 
 def survivor_counts(k_max: int) -> list[int]:
     """[w(2), .., w(k_max)]: the sums of rows 2..k_max, one row held at a time."""
-    if k_max < 2:
-        raise ValueError(f"row must be >= 2, got {k_max}")
+    _refuse_below("row", k_max, 2)
     rows = MAX_TRIANGLE_TERMS + 1  # w(2) .. w(rows) are MAX_TRIANGLE_TERMS values
     _refuse_above("triangle rows are", k_max, rows, lambda: f"k <= {rows} ({rows - 1} values)")
     return [sum(row) for _, _, row in islice(_rows(k_max), k_max - 1)]
@@ -67,8 +65,7 @@ def survivor_counts(k_max: int) -> list[int]:
 
 def class_counts(n_max: int) -> list[int]:
     """[z(1), .., z(n_max)]: z(1) = 1 for the tree's root, then column sums."""
-    if n_max < 1:
-        raise ValueError(f"column must be >= 1, got {n_max}")
+    _refuse_below("column", n_max, 1)
     bound = MAX_TRIANGLE_TERMS
     _refuse_above("triangle columns are", n_max, bound, lambda: f"n <= {bound}")
     z = [1] + [0] * (n_max - 1)
@@ -81,8 +78,7 @@ def class_counts(n_max: int) -> list[int]:
 def w(table: TriangleTable, k: int) -> int:
     """Number of surviving residues (mod 2^k): the row-k sum over columns
     n = min_surviving_n(k) .. k."""
-    if k < 2:
-        raise ValueError(f"row must be >= 2, got {k}")
+    _refuse_below("row", k, 2)
     if k > table.max_n:
         raise ValueError(f"row {k} not covered by a table built to max_n={table.max_n}")
     return sum(table.cells.get((k, n), 0) for n in range(min_surviving_n(k), k + 1))
@@ -91,8 +87,7 @@ def w(table: TriangleTable, k: int) -> int:
 def z_from_triangle(table: TriangleTable, n: int) -> int:
     """Number of residue classes with stopping time sigma_n: the column-n sum
     over rows k = n .. kappa(n)."""
-    if n < 2:
-        raise ValueError(f"column must be >= 2, got {n}")
+    _refuse_below("column", n, 2)
     if n > table.max_n:
         raise ValueError(f"column {n} not covered by a table built to max_n={table.max_n}")
     return sum(table.cells[(k, n)] for k in range(n, kappa(n) + 1))

@@ -15,14 +15,14 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .core import WALK_LANES, _lane_bytes, _lane_masks, _pack, _walk
-from .ladder import _refuse_above, kappa, sigma_n
+from .ladder import _refuse_above, _refuse_below, kappa, sigma_n
 from . import ptree
 from .triangle import survivor_counts
 
 SIEVE_MAX_DEPTH = 26
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SurvivalRecord:
     """One residue r (mod 2^k) with its k-step image q (mod 3^n) and whether
     the class is still unstopped (2^k < 3^n)."""
@@ -55,8 +55,7 @@ def sieve(k: int) -> list[SurvivalRecord]:
     SIEVE_MAX_DEPTH (read per call) are refused with a ValueError that names
     w(SIEVE_MAX_DEPTH), the residues the deepest permitted depth tracks.
     """
-    if k < 2:
-        raise ValueError(f"bit depth must be >= 2, got {k}")
+    _refuse_below("bit depth", k, 2)
     bound = SIEVE_MAX_DEPTH
     depths = lambda: f"k <= {bound} ({survivor_counts(bound)[-1]} surviving residues)"
     _refuse_above("sieve depths are", k, bound, depths)
@@ -69,7 +68,7 @@ def sieve(k: int) -> list[SurvivalRecord]:
     return [SurvivalRecord(r, k, q, n, k <= kap[n]) for r, q, n in level]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ResidueBlock:
     """The residue classes sharing one stopping time; n is None for the two
     trivial classes (even numbers, and 1 mod 4)."""
@@ -92,7 +91,7 @@ def residue_table(n_max: int) -> list[ResidueBlock]:
     return trivial + [ResidueBlock(sigma_n(n), n, ptree.level_residues(n)) for n in levels]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class VerificationReport:
     """Outcome of an exhaustive range check.
 
@@ -219,12 +218,10 @@ def verify_range(
     ceil(width / BLOCK_SIZE), CPUs) of them; shares merge in ascending
     order, so every jobs setting gives one report.
     """
-    if x_lo < 2:
-        raise ValueError(f"x_lo must be >= 2, got {x_lo}")
+    _refuse_below("x_lo", x_lo, 2)
     if x_hi < x_lo:
         raise ValueError(f"need x_lo <= x_hi, got {x_lo}..{x_hi}")
-    if jobs < 1:
-        raise ValueError(f"jobs must be >= 1, got {jobs}")
+    _refuse_below("jobs", jobs, 1)
     ptree._check_level(n_max)  # before any table is built or process started
     # the pool starts all max_workers processes at the first submit
     workers = min(jobs, len(range(x_lo, x_hi, BLOCK_SIZE)), os.cpu_count() or 1)

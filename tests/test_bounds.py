@@ -1,6 +1,8 @@
 """Every bounded public entry point refuses an oversized request up front,
 where it allocates: with a ValueError, quickly, before it builds a tree level
-and without rolling triangle rows beyond the sizes its refusal states."""
+and without rolling triangle rows beyond the sizes its refusal states.  Every
+parameter with a least value refuses one below it, in ladder._refuse_below's
+words."""
 
 import time
 from unittest import mock
@@ -103,3 +105,73 @@ def test_the_cli_follows_the_moved_bounds(monkeypatch, capsys):
         assert out == "" and err == f"error: {text}\n"
     assert main(["oeis", "A076227", "--terms", "10"]) == 0
     assert len(capsys.readouterr().out.split()) == 10
+
+
+# name: (call, or CLI argv, one below the least value; the refusal's exact text)
+BELOW = {
+    "cli verify --max-bits": (
+        ("verify", "--max-bits", "1", "--n-max", "9"),
+        "--max-bits must be >= 2, got 1",
+    ),
+    "cli oeis terms": (("oeis", "A076227", "--terms", "0"), "terms must be >= 1, got 0"),
+    "t_step": (lambda: core.t_step(0), "x must be >= 1, got 0"),
+    "trajectory x": (lambda: core.trajectory(0, 1), "x must be >= 1, got 0"),
+    "trajectory steps": (lambda: core.trajectory(3, -1), "steps must be >= 0, got -1"),
+    "stopping_time cap": (lambda: core.stopping_time(3, 0), "cap must be >= 1, got 0"),
+    "parity_vector_of": (lambda: core.parity_vector_of(3, 0), "level must be >= 1, got 0"),
+    "forward_map": (lambda: core.forward_map(0, 0), "step count must be >= 1, got 0"),
+    "check_corollary1": (lambda: diophantine.check_corollary1(3, 1), "h must be >= 2, got 1"),
+    "lambda_step": (lambda: diophantine.lambda_step(3, 1), "level must be >= 2, got 1"),
+    "check_corollary3_delta level": (
+        lambda: diophantine.check_corollary3_delta(0, 0, 1, 1),
+        "level must be >= 2, got 1",
+    ),
+    "check_corollary3_delta run": (
+        lambda: diophantine.check_corollary3_delta(0, 0, 2, 0),
+        "trailing-zero run must be >= 1, got 0",
+    ),
+    "predict_corollary3_explicit run": (
+        lambda: diophantine.predict_corollary3_explicit(3, 2, 0, 1),
+        "trailing-zero run must be >= 1, got 0",
+    ),
+    "check_corollary4": (
+        lambda: diophantine.check_corollary4(ptree.generate_vset(1), [None]),  # one vector
+        "level must be >= 2, got 1",
+    ),
+    "kappa": (lambda: ladder.kappa(-1), "level must be >= 0, got -1"),
+    "sigma_n": (lambda: ladder.sigma_n(0), "level must be >= 1, got 0"),
+    "d": (lambda: ladder.d(0), "level must be >= 1, got 0"),
+    "min_surviving_n": (lambda: ladder.min_surviving_n(0), "bit depth must be >= 1, got 0"),
+    "ladder_rows": (lambda: ladder.ladder_rows(0), "max_n must be >= 1, got 0"),
+    "ptree level check": (lambda: ptree.level_residues(0), "level must be >= 1, got 0"),
+    "ln_count": (lambda: ptree.ln_count(0), "level must be >= 1, got 0"),
+    "export_tree": (lambda: ptree.export_tree(0), "level must be >= 1, got 0"),
+    "build_triangle": (lambda: triangle.build_triangle(1), "max_n must be >= 2, got 1"),
+    "survivor_counts": (lambda: triangle.survivor_counts(1), "row must be >= 2, got 1"),
+    "class_counts": (lambda: triangle.class_counts(0), "column must be >= 1, got 0"),
+    "w": (lambda: triangle.w(triangle.build_triangle(5), 1), "row must be >= 2, got 1"),
+    "z_from_triangle": (
+        lambda: triangle.z_from_triangle(triangle.build_triangle(5), 1),
+        "column must be >= 2, got 1",
+    ),
+    "sieve": (lambda: verify.sieve(1), "bit depth must be >= 2, got 1"),
+    "verify_range x_lo": (lambda: verify.verify_range(1, 10, 9), "x_lo must be >= 2, got 1"),
+    "verify_range jobs": (
+        lambda: verify.verify_range(2, 10, 9, jobs=0),
+        "jobs must be >= 1, got 0",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(BELOW))
+def test_one_below_the_least_value_is_refused(name, capsys):
+    call, text = BELOW[name]
+    if callable(call):
+        with pytest.raises(ValueError) as refused:
+            call()
+        assert str(refused.value) == text
+    else:
+        from collatz_stopping.cli import main
+
+        assert main(list(call)) == 2
+        assert capsys.readouterr() == ("", f"error: {text}\n")

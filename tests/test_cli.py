@@ -170,6 +170,12 @@ def test_oeis_bfile_offset_override(run_cli):
     assert out.splitlines() == ["0 1", "1 2", "2 3"]
 
 
+def test_oeis_offset_without_bfile_is_refused(run_cli):
+    code, out, err = run_cli("oeis", "A076227", "--terms", "3", "--offset", "5")
+    assert (code, out) == (2, "")
+    assert err == "error: --offset applies only to --format bfile\n"
+
+
 def test_oeis_bfile_triangle_sequences(run_cli):
     code, out, _ = run_cli("oeis", "A100982", "--terms", "11", "--format", "bfile")
     assert code == 0

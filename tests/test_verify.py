@@ -713,7 +713,7 @@ def test_verify_range_one_worker_scans_the_range_in_one_call(monkeypatch):
 
     scanned = []
 
-    def scan(lo, hi, table):
+    def scan(lo, hi, n_max):
         scanned.append((lo, hi))
         return {None: hi - lo}, []
 

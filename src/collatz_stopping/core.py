@@ -7,6 +7,8 @@ there is no overflow at any input size and concurrent calls are safe.
 
 from __future__ import annotations
 
+import struct
+
 from . import ladder
 
 Bits = tuple[int, ...]
@@ -91,8 +93,19 @@ def _lane_masks(size: int, lanes: int) -> tuple[int, int]:
 
 
 def _pack(xs, size: int) -> int:
-    """The ints xs, each below 2^(8 * size), as size-byte lanes of one int."""
-    return int.from_bytes(b"".join([x.to_bytes(size, "little") for x in xs]), "little")
+    """The ints xs, each below 2^min(64, 8 * size), as size-byte lanes of one
+    int, zero-padded past 8 bytes: one struct.pack, then one slice per lane
+    byte.  A larger x raises struct.error; none spills into the next lane."""
+    raw = struct.pack(f"<{len(xs)}Q", *xs)
+    if size == 8:
+        return int.from_bytes(raw, "little")
+    out, zeros = bytearray(len(xs) * size), bytes(len(xs))
+    for j in range(8):
+        if j < size:
+            out[j::size] = raw[j::8]
+        elif raw[j::8] != zeros:  # some x has a byte above its lane
+            raise struct.error(f"a value is not below 2^{8 * size}")
+    return int.from_bytes(out, "little")
 
 
 def _step(t: int, low: int, w: int) -> int:

@@ -14,6 +14,7 @@ from functools import lru_cache
 from typing import Callable, NamedTuple
 
 MAX_LADDER_TERMS = 100_000
+MAX_KAPPA_LEVEL = 10**6  # kappa(10**6): 0.09 s cold on a 2-core VM; ladder_rows reads kappa(100_001)
 
 
 def _refuse_above(what: str, request: int, bound: int, limit: Callable[[], str]) -> None:
@@ -53,6 +54,7 @@ def kappa(n: int) -> int:
     """
     global _last_power
     _refuse_below("level", n, 0)
+    _refuse_above("kappa levels are", n, MAX_KAPPA_LEVEL, lambda: f"n <= {MAX_KAPPA_LEVEL}")
     m, power = _last_power
     power = power * 3 if m == n - 1 else 3**n
     _last_power = (n, power)
@@ -61,8 +63,9 @@ def kappa(n: int) -> int:
 
 def sigma_n(n: int) -> int:
     """Stopping time of every starting value whose stopping prefix contains
-    n odd terms after the first: kappa(n+1) + 1."""
+    n odd terms after the first: kappa(n+1) + 1, for n < MAX_KAPPA_LEVEL."""
     _refuse_below("level", n, 1)
+    _refuse_above("sigma levels are", n, MAX_KAPPA_LEVEL - 1, lambda: f"n <= {MAX_KAPPA_LEVEL - 1}")
     return kappa(n + 1) + 1
 
 
@@ -70,6 +73,7 @@ def d(n: int) -> int:
     """kappa(n) - kappa(n-1): the number of powers of 2 strictly between
     3^(n-1) and 3^n.  Always 1 or 2."""
     _refuse_below("level", n, 1)
+    _refuse_above("kappa gaps are", n, MAX_KAPPA_LEVEL, lambda: f"n <= {MAX_KAPPA_LEVEL}")
     gap = kappa(n) - kappa(n - 1)
     if gap not in (1, 2):
         raise RuntimeError(f"kappa gap at level {n} is {gap}, not 1 or 2")
@@ -85,6 +89,7 @@ def min_surviving_n(k: int) -> int:
     increasing and kappa(k) >= k, so a bisection over 1..k finds it.
     """
     _refuse_below("bit depth", k, 1)
+    _refuse_above("bit depths are", k, MAX_KAPPA_LEVEL, lambda: f"k <= {MAX_KAPPA_LEVEL}")
     return bisect_left(range(1, k + 1), k, key=kappa) + 1
 
 

@@ -20,6 +20,7 @@ solving each vector.  Every public reader refuses levels above MAX_RESIDUE_LEVEL
 
 from __future__ import annotations
 
+import struct
 from collections import Counter
 from functools import lru_cache
 from itertools import combinations
@@ -128,16 +129,27 @@ def _first_nonmember(xs: list[int], sig: int) -> int | None:
 def _level_classes(n: int) -> list[int]:
     """Level n's residues (mod 2^sigma_n) in emission order, read off the
     cached level without solving each vector: x = -S * 3^-(n+1)
-    (mod 2^sigma_n) for each entry's weighted sum S.  Every x is still walked
-    sigma_n steps and must be a member (solve_vector's predicate), that is,
-    stop exactly at sigma_n: _first_nonmember reads this off _walk's counts,
-    a whole chunk of classes per big-integer step.  The solved closing
+    (mod 2^sigma_n) for each entry's weighted sum S.  WALK_LANES sums at a
+    time fill 8-byte lanes, cut to S mod 2^sigma_n, and one multiply by
+    -3^-(n+1) mod 2^sigma_n and one mask derive them all: for sigma_n <= 32
+    (n <= 19) no lane's product reaches 2^64, and a deeper level is refused
+    before it is built.  Every x is still walked sigma_n steps and must be a
+    member (solve_vector's predicate), that is, stop exactly at sigma_n:
+    _first_nonmember reads this off _walk's counts.  The solved closing
     vector must be a member equal to the level's last residue.  Either
     failure raises RuntimeError, a non-member naming the first offender in
     emission order.
     """
     sig, mod, _, inv = _level_constants(n)
-    residues = [-s * inv % mod for s in _tree_level(n)[0]]
+    _refuse_above("classes in 8-byte lanes are", sig, 32, lambda: "sigma_n <= 32")
+    sums = _tree_level(n)[0]
+    keep = (mod - 1) * _lane_masks(8, WALK_LANES)[0]  # each lane mod 2^sigma_n
+    c = -inv % mod
+    residues = []
+    for start in range(0, len(sums), WALK_LANES):
+        chunk = sums[start : start + WALK_LANES]
+        lanes = (_pack(chunk, 8) & keep) * c & keep
+        residues += struct.unpack(f"<{len(chunk)}Q", lanes.to_bytes(8 * len(chunk), "little"))
     if (bad := _first_nonmember(residues, sig)) is not None:
         raise RuntimeError(f"level {n} holds a class {residues[bad]} that is not a member")
     closing = solve_vector((1,) * (n + 1) + (0,) * (kappa(n) - n))

@@ -36,6 +36,10 @@ BOUNDED = {
     "sieve": (verify.sieve, 27, 26),
     "export_tree": (ptree.export_tree, 11, 11),
     "ln_count": (ptree.ln_count, 100_001, 0),
+    "kappa": (ladder.kappa, 1_000_001, 0),
+    "sigma_n": (ladder.sigma_n, 1_000_000, 0),  # it reads kappa(n + 1)
+    "d": (ladder.d, 1_000_001, 0),
+    "min_surviving_n": (ladder.min_surviving_n, 1_000_001, 0),
 }
 
 
@@ -83,6 +87,22 @@ def test_the_moved_bounds_are_read_per_call(monkeypatch):
     assert triangle.build_triangle(10).max_n == 10
     assert len(triangle.class_counts(10)) == len(triangle.survivor_counts(11)) == 10
     assert len(ladder.ladder_rows(5)) == 5
+
+
+def test_the_kappa_bound_is_read_per_call(monkeypatch):
+    monkeypatch.setattr(ladder, "MAX_KAPPA_LEVEL", 50)
+    # kappa and min_surviving_n refuse on a cache miss, which __wrapped__ forces
+    calls = {
+        ladder.kappa.__wrapped__: 51,
+        ladder.sigma_n: 50,
+        ladder.d: 51,
+        ladder.min_surviving_n.__wrapped__: 51,
+    }
+    for call, first in calls.items():
+        with pytest.raises(ValueError, match=f" <= {first - 1}; requested {first}$"):
+            call(first)
+        assert call(first - 1) > 0
+    assert ladder.sigma_n(49) == ladder.kappa(50) + 1
 
 
 def test_the_cli_follows_the_moved_bounds(monkeypatch, capsys):

@@ -1,3 +1,5 @@
+import struct
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -91,10 +93,15 @@ def test_forward_map_takes_both_ends_of_the_residue_range():
 @settings(max_examples=200, deadline=None)
 @given(data=st.data(), size=st.integers(1, 10), lanes=st.integers(0, 64))
 def test_pack_puts_each_value_in_its_own_lane(data, size, lanes):
-    value = st.integers(0, (1 << 8 * size) - 1)
-    xs = data.draw(st.lists(value, min_size=lanes, max_size=lanes))
+    top = 1 << min(64, 8 * size)
+    xs = data.draw(st.lists(st.integers(0, top - 1), min_size=lanes, max_size=lanes))
     raw = core._pack(xs, size).to_bytes(size * lanes, "little")
     assert [int.from_bytes(raw[i * size : (i + 1) * size], "little") for i in range(lanes)] == xs
+    # one value at or above the lane's top, 2^64 included, is refused, not spilled
+    at = data.draw(st.integers(0, lanes))
+    for big in (top, 1 << 64, data.draw(st.integers(top, 1 << 80))):
+        with pytest.raises(struct.error):
+            core._pack(xs[:at] + [big] + xs[at:], size)
 
 
 @given(st.integers(min_value=1, max_value=20), st.data())

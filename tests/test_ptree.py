@@ -286,6 +286,46 @@ def test_level_solutions_equal_the_solver_on_every_entry_in_emission_order():
         assert ptree._level_solutions(n) == [(sol.x, sol.y) for sol in solved]
 
 
+def test_lane_derived_classes_equal_the_scalar_formula_through_level_14():
+    from collatz_stopping import ptree
+    from collatz_stopping.diophantine import _level_constants
+
+    for n in range(1, 15):
+        _, mod, _, inv = _level_constants(n)
+        assert ptree._level_classes(n) == [-s * inv % mod for s in ptree._tree_level(n)[0]]
+
+
+def test_a_forged_sum_is_caught_by_the_walk_and_named(monkeypatch):
+    from collatz_stopping import ptree
+    from collatz_stopping.diophantine import _level_constants
+
+    n, i, bad = 5, 7, 3  # 3 stops at 4, not at sigma_5 = 10
+    _, mod, p3, _ = _level_constants(n)
+    sums, ends, heads = ptree._tree_level(n)
+    forged = sums[:i] + ((-bad * p3) % mod,) + sums[i + 1 :]
+    real = ptree._tree_level
+    monkeypatch.setattr(ptree, "_tree_level", lambda m: (forged, ends, heads) if m == n else real(m))
+    with pytest.raises(RuntimeError, match=f"^level {n} holds a class {bad} that is not a member$"):
+        ptree._level_classes(n)
+
+
+def test_levels_past_sigma_32_are_refused_before_they_are_built(monkeypatch):
+    from collatz_stopping import ptree
+
+    before = ptree._tree_level.cache_info()
+    with pytest.raises(ValueError, match=r"bounded at sigma_n <= 32; requested 34$"):
+        ptree._level_classes(20)
+    assert ptree._tree_level.cache_info() == before
+
+    def unbuilt(n):
+        raise LookupError(f"level {n} would be built")
+
+    # level 19 (sigma_19 = 32) passes the refusal and goes on to build its level
+    monkeypatch.setattr(ptree, "_tree_level", unbuilt)
+    with pytest.raises(LookupError, match="^level 19 would be built$"):
+        ptree._level_classes(19)
+
+
 def test_trailing_zeros_helper():
     assert trailing_zeros((1, 1, 0, 1)) == 0
     assert trailing_zeros((1, 1, 1, 0)) == 1

@@ -790,7 +790,9 @@ commands = [
     "tuples 5", "residues --sigma-index 5", "oeis A177789 --terms 313", "vset 6 --with-solutions",
 ]
 code = max(cli.main(argv.split()) for argv in commands)
-loaded = lambda: [m for m in ("dataclasses", "inspect", "collatz_stopping.verify") if m in sys.modules]
+loaded = lambda: [
+    m for m in ("array", "dataclasses", "inspect", "collatz_stopping.verify") if m in sys.modules
+]
 at_start = loaded()
 if sys.argv[1] == "call":
     works = len(collatz_stopping.residue_table(3)) == 5

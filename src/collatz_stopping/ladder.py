@@ -9,7 +9,6 @@ request, live here because this module imports no other module of the package.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from functools import lru_cache
 from typing import Callable, NamedTuple
 
@@ -85,12 +84,15 @@ def min_surviving_n(k: int) -> int:
     """Smallest n with 2^k < 3^n, i.e. with kappa(n) >= k.
 
     This is the leftmost populated column of row k of the count triangle:
-    a residue (mod 2^k) with fewer odd steps has already stopped.  kappa is
-    increasing and kappa(k) >= k, so a bisection over 1..k finds it.
+    a residue (mod 2^k) with fewer odd steps has already stopped.  As 1.585 >
+    log2(3), 3^n < 2^k at n = k * 1000 // 1585; kappa ascends from there.
     """
     _refuse_below("bit depth", k, 1)
     _refuse_above("bit depths are", k, MAX_KAPPA_LEVEL, lambda: f"k <= {MAX_KAPPA_LEVEL}")
-    return bisect_left(range(1, k + 1), k, key=kappa) + 1
+    n = k * 1000 // 1585
+    while kappa(n) < k:
+        n += 1
+    return n
 
 
 def ladder_rows(max_n: int) -> list[LadderRow]:

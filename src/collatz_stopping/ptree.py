@@ -121,7 +121,9 @@ def _first_nonmember(xs: list[int], sig: int) -> int | None:
     for start in range(0, len(xs), WALK_LANES):
         chunk = xs[start : start + WALK_LANES]
         ones, guard = _lane_masks(size, len(chunk))
-        if bad := _walk(_pack(chunk, size), ones, guard, w, sig)[0] ^ (sig - 1) * ones:
+        steps, full, _ = _walk(_pack(chunk, size), ones, guard, w, sig)
+        if steps or full != sig - 1:  # not every lane counted sig - 1
+            bad = (steps + full * ones) ^ (sig - 1) * ones
             return start + ((bad & -bad).bit_length() - 1) // w
     return None
 

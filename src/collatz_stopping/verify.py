@@ -149,14 +149,16 @@ def _scan_block(lo: int, hi: int, n_max: int) -> tuple:
     and a table shorter than a chunk is repeated to one, so no group's
     stepped table slice wraps.  In a chunk, group x0 holds x0 + i *
     GROUP_STRIDE, packed into one int of W-bit lanes (W = _lane_bytes(budget,
-    hi)) as x0 * low + index, and walked by _walk until every lane has
-    stopped or the budget, one step past the table's last sigma, is spent.
-    Its lanes share their first 8 parities, so a group whose residue stops
-    early stops together.  Byte 0 of each lane counts the steps it stayed at
-    or above x, its stopping time less one.  The simulated times are
-    compared with the group's table bytes and counted in C; only a group
-    that differs is looked at lane by lane.  Beyond the table, memory is one
-    group's int, about 8 KB near hi = 2^48, whatever the range's width.
+    hi)) as x0 * low + index, or as the last group's int + low when the
+    lane count holds, and walked by _walk until every lane has stopped or
+    the budget, one step past the table's last sigma, is spent.  Its lanes
+    share their first 8 parities, so a group whose residue stops early
+    stops together and is read off _walk's full alone; otherwise byte 0 of
+    each lane counts the steps it stayed at or above x, its stopping time
+    less one.  The simulated times are compared with the group's table
+    bytes and counted in C; only a group that differs is looked at lane by
+    lane.  Beyond the table, memory is one group's int, about 8 KB near
+    hi = 2^48, whatever the range's width.
     """
     budget = sigma_n(n_max) + 1
     stride = GROUP_STRIDE
@@ -176,20 +178,27 @@ def _scan_block(lo: int, hi: int, n_max: int) -> tuple:
     mismatches = []
     for chunk in range(lo - lo % span, hi, span):
         first, end = max(lo, chunk), min(hi, chunk + span)
+        prev = 0  # the last group's lane count
         for x0 in range(first, min(end, first + stride)):
             n = len(range(x0, end, stride))
-            if n == lanes:
-                ones, base, guard = low, index, top
-            else:  # a group of a chunk the range cuts: fewer lanes
+            if n == prev:  # each lane one past the last group's
+                x += ones
+            else:  # a chunk's first group, or the first with one lane fewer
                 cut = (1 << (w * n)) - 1
                 ones, base, guard = low & cut, index & cut, top & cut
-            steps, walked = _walk(x0 * ones + base, ones, guard, w, budget)
-            raw = steps.to_bytes(n * size, "little")[::size]
-            sims = raw.translate(stopped)
+                x, prev = x0 * ones + base, n
+            steps, full, walked = _walk(x, ones, guard, w, budget)
+            if steps:
+                raw = (steps + full * ones).to_bytes(n * size, "little")[::size]
+                sims = raw.translate(stopped)
+                for s in range(min(walked + 1, budget)):
+                    counts[s] += sims.count(s)
+            else:  # every lane stopped at one step, or none did
+                raw = bytes((full,)) * n
+                sims = raw.translate(stopped)
+                counts[stopped[full]] += n
             start = x0 & mask
             pred = table[start : start + stride * n : stride]
-            for s in range(min(walked + 1, budget)):
-                counts[s] += sims.count(s)
             if sims != pred:
                 for i, (p, s) in enumerate(zip(pred, sims, strict=True)):
                     if p != s:

@@ -72,6 +72,23 @@ def test_min_surviving_n_is_tight():
         assert 3 ** (n - 1) < 2**k < 3**n
 
 
+def bisected_min_surviving_n(k):
+    """min_surviving_n as first written: kappa is increasing and kappa(k) >= k,
+    so a bisection over 1..k finds the least n with kappa(n) >= k."""
+    from bisect import bisect_left
+
+    return bisect_left(range(1, k + 1), k, key=kappa) + 1
+
+
+def test_ascending_search_equals_the_bisection():
+    # the search starts at k * 1000 // 1585, below every answer; the cache is
+    # bypassed so each k runs the search itself
+    search = min_surviving_n.__wrapped__
+    for k in range(1, 3001):
+        assert search(k) == bisected_min_surviving_n(k)
+    assert search(10**6) == bisected_min_surviving_n(10**6) == 630930
+
+
 def test_d_outside_one_or_two_raises(monkeypatch):
     from collatz_stopping import ladder
 

@@ -342,17 +342,22 @@ NINE_BYTE_HI = -(-(1 << 63) // 3**17) << 17
         ((1 << 40) + 7, 0, 9),
         (NINE_BYTE_HI - 3000, 3000, 9),
         ((3 << 18) - 700, 2000, 9),
+        ((1 << 44) + 129, 3100, 1),
     ],
     ids=["wider-than-a-chunk", "table-shorter-than-stride", "from-2", "lanes-past-64-bits",
-         "lanes-past-the-table-end", "empty", "first-nine-byte-lanes", "into-the-next-chunk"],
+         "lanes-past-the-table-end", "empty", "first-nine-byte-lanes", "into-the-next-chunk",
+         "groups-that-never-stop"],
 )
 def test_scan_edges_agree_with_the_reference_scan(lo, width, n_max):
     # past the Hypothesis widths: a chunk that the range enters off its first
     # stride; n_max 1's 16-byte table; lanes wider than 8 bytes; at n_max 12
     # (a 2^20-byte table) a window across the table's end; a window whose
-    # last x needs the ninth byte that its hi first brings; and n_max 9's
+    # last x needs the ninth byte that its hi first brings; n_max 9's
     # 64 KB table repeated to one chunk, in a window whose first group starts
-    # past its chunk's first stride and that runs into the next chunk
+    # past its chunk's first stride and that runs into the next chunk; and
+    # at n_max 1 (budget 5) groups such as x = 255 (mod 256), whose lanes
+    # share more steps at or above x than the budget: none stops, all are
+    # beyond the table
     assert verify_range(lo, lo + width, n_max) == reference_report(lo, lo + width, n_max)
 
 
@@ -601,6 +606,30 @@ def test_lane_walk_names_the_first_nonmember_like_the_oracle(data, sigma, length
         assert expected == (min(forged) if forged else None)
 
 
+@pytest.mark.parametrize("sigma", [4, 5, 7, 8, 20, 40, 45])
+def test_a_chunk_that_fails_together_is_named_at_its_first_lane(sigma):
+    from collatz_stopping import core, ptree
+
+    # _walk's steps is 0 when every lane stops at one step or none does, and
+    # then full alone decides: 0 for even x, stopped at step 1 (a member
+    # counts sigma - 1 >= 3), sigma for x = 2^sigma - 1, which shares sigma
+    # odd steps and never stops within sigma
+    lanes = core.WALK_LANES
+    rng = random.Random(sigma)
+    evens = [rng.randrange(2, 1 << sigma, 2) for _ in range(lanes + 5)]
+    assert ptree._first_nonmember(evens, sigma) == 0
+    rising = [(1 << sigma) - 1] * (lanes + 5)
+    assert ptree._first_nonmember(rising, sigma) == 0
+    # members all count sigma - 1 together; one forged lane is the only
+    # failure, whichever chunk it lies in
+    members = [rng.choice(_members(sigma)) for _ in range(2 * lanes + 3)]
+    assert ptree._first_nonmember(members, sigma) is None
+    for i in (0, 17, lanes - 1, lanes, 2 * lanes + 2):
+        for forged in (evens[0], rising[0]):
+            xs = members[:i] + [forged] + members[i + 1 :]
+            assert ptree._first_nonmember(xs, sigma) == i == reference_first_nonmember(xs, sigma)
+
+
 @pytest.mark.parametrize("sigma", range(1, 61))
 def test_lane_width_holds_every_step_of_the_walk(sigma):
     from collatz_stopping import core, ptree
@@ -670,17 +699,19 @@ def test_walk_counts_every_lane_like_the_reference_trajectory(data, budget, case
     size = core._lane_bytes(budget, hi)
     ones, guard = core._lane_masks(size, lanes)
     x = int.from_bytes(b"".join(v.to_bytes(size, "little") for v in xs), "little")
-    steps, walked = core._walk(x, ones, guard, 8 * size, budget)
-    raw = steps.to_bytes(size * lanes, "little")
+    steps, full, walked = core._walk(x, ones, guard, 8 * size, budget)
+    raw = (steps + full * ones).to_bytes(size * lanes, "little")
     counted = [int.from_bytes(raw[i * size : (i + 1) * size], "little") for i in range(lanes)]
     expected = [reference_count(v, budget) for v in xs]
     assert counted == [count for count, _ in expected]
     assert raw[::size] == bytes(count for count, _ in expected)
     assert walked == max(budget if stop is None else stop for _, stop in expected)
+    # steps is 0 exactly when every lane stops at one step (or none stops)
+    assert (steps == 0) == (len({stop for _, stop in expected}) == 1)
     if case == "all-even":
-        assert walked == 1 and steps == 0
+        assert walked == 1 and steps == 0 and full == 0
     if case == "no-stop":
-        assert walked == budget and steps == budget * ones
+        assert walked == budget and steps == 0 and full == budget
 
 
 def test_a_level_that_never_closes_is_refused(monkeypatch):

@@ -1,5 +1,6 @@
 """The accelerated 3x+1 map, its exact trajectory bookkeeping, and the lane
-engine, _walk, that ptree's class check and verify's scan both read.
+engine: _step, which verify's sieve takes per chunk of children, and _walk,
+which ptree's class check and verify's scan both read.
 
 All functions are pure and use Python's arbitrary-precision integers, so
 there is no overflow at any input size and concurrent calls are safe.
@@ -106,6 +107,19 @@ def _pack(xs, size: int) -> int:
         elif raw[j::8] != zeros:  # some x has a byte above its lane
             raise struct.error(f"a value is not below 2^{8 * size}")
     return int.from_bytes(out, "little")
+
+
+def _unpack(lanes: int, count: int, size: int) -> list[int]:
+    """The count ints in the size-byte lanes of lanes, size <= 8: _pack's
+    inverse, one slice per lane byte into 8-byte lanes, then one
+    struct.unpack.  A value past the count lanes raises OverflowError."""
+    raw = lanes.to_bytes(count * size, "little")
+    if size < 8:
+        out = bytearray(8 * count)
+        for j in range(size):
+            out[j::8] = raw[j::size]
+        raw = out
+    return list(struct.unpack(f"<{count}Q", raw))
 
 
 def _step(t: int, low: int, w: int) -> int:

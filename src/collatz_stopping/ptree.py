@@ -20,7 +20,6 @@ solving each vector.  Every public reader refuses levels above MAX_RESIDUE_LEVEL
 
 from __future__ import annotations
 
-import struct
 from collections import Counter
 from functools import lru_cache
 from itertools import combinations
@@ -28,7 +27,7 @@ from math import comb
 from typing import NamedTuple
 
 from . import ladder
-from .core import WALK_LANES, Bits, _lane_bytes, _lane_masks, _pack, _walk
+from .core import WALK_LANES, Bits, _lane_bytes, _lane_masks, _pack, _unpack, _walk
 from .diophantine import _level_constants, solve_vector
 from .ladder import _refuse_above, _refuse_below, kappa
 from .triangle import class_counts
@@ -133,14 +132,14 @@ def _level_classes(n: int) -> list[int]:
     cached level without solving each vector: x = -S * 3^-(n+1)
     (mod 2^sigma_n) for each entry's weighted sum S.  WALK_LANES sums at a
     time fill 8-byte lanes, cut to S mod 2^sigma_n, and one multiply by
-    -3^-(n+1) mod 2^sigma_n and one mask derive them all: for sigma_n <= 32
-    (n <= 19) no lane's product reaches 2^64, and a deeper level is refused
-    before it is built.  Every x is still walked sigma_n steps and must be a
-    member (solve_vector's predicate), that is, stop exactly at sigma_n:
-    _first_nonmember reads this off _walk's counts.  The solved closing
-    vector must be a member equal to the level's last residue.  Either
-    failure raises RuntimeError, a non-member naming the first offender in
-    emission order.
+    -3^-(n+1) mod 2^sigma_n and one mask derive them all, read back by
+    _unpack: for sigma_n <= 32 (n <= 19) no lane's product reaches 2^64,
+    and a deeper level is refused before it is built.  Every x is still
+    walked sigma_n steps and must be a member (solve_vector's predicate),
+    that is, stop exactly at sigma_n: _first_nonmember reads this off
+    _walk's counts.  The solved closing vector must be a member equal to the
+    level's last residue.  Either failure raises RuntimeError, a non-member
+    naming the first offender in emission order.
     """
     sig, mod, _, inv = _level_constants(n)
     _refuse_above("classes in 8-byte lanes are", sig, 32, lambda: "sigma_n <= 32")
@@ -151,7 +150,7 @@ def _level_classes(n: int) -> list[int]:
     for start in range(0, len(sums), WALK_LANES):
         chunk = sums[start : start + WALK_LANES]
         lanes = (_pack(chunk, 8) & keep) * c & keep
-        residues += struct.unpack(f"<{len(chunk)}Q", lanes.to_bytes(8 * len(chunk), "little"))
+        residues += _unpack(lanes, len(chunk), 8)
     if (bad := _first_nonmember(residues, sig)) is not None:
         raise RuntimeError(f"level {n} holds a class {residues[bad]} that is not a member")
     closing = solve_vector((1,) * (n + 1) + (0,) * (kappa(n) - n))

@@ -4,17 +4,20 @@ sieve is the doubling survival sieve; verify_range simulates every integer
 of a range against residue_table, the tree's class lists (ptree's
 level_residues) with the two trivial classes, turned into one byte per
 residue.  Neither route derives its classes from the tree or the triangle
-recurrence, so the three routes can be checked against each other.  The
-scan reads each integer's stopping time off core's lane engine, _walk.
+recurrence, so the three routes can be checked against each other.  Both
+run on core's lane engine: the sieve steps each depth's children with
+_step, and the scan reads each integer's stopping time off _walk.
 """
 
 from __future__ import annotations
 
 import os
-from collections import Counter
+from collections import Counter, deque
 from dataclasses import dataclass
+from itertools import compress, repeat
+from operator import add
 
-from .core import WALK_LANES, _lane_bytes, _lane_masks, _pack, _walk
+from .core import WALK_LANES, _lane_bytes, _lane_masks, _pack, _step, _unpack, _walk
 from .ladder import _refuse_above, _refuse_below, kappa, sigma_n
 from . import ptree
 from .triangle import survivor_counts
@@ -34,24 +37,42 @@ class SurvivalRecord:
     surviving: bool
 
 
-def _children(parents, half: int, pow3: list[int]):
-    """Each parent (r, q, n) one T-step on: first as r, then as r + half."""
-    for r, q, n in parents:
-        yield (r, (3 * q + 1) >> 1, n + 1) if q & 1 else (r, q >> 1, n)
-    for r, q, n in parents:
-        r, q = r + half, q + pow3[n]
-        yield (r, (3 * q + 1) >> 1, n + 1) if q & 1 else (r, q >> 1, n)
+def _double(rs: list[int], qs: list[int], ns: bytes, half: int, pow3: list[int]):
+    """The children of the parent columns (r, q, n), as columns: first each
+    r, which keeps q, then each r + half, which adds 3^n to q; each child
+    then takes one T-step, and n gains the parity of its q.  The children's
+    q are stepped WALK_LANES at a time on core's lane engine, one _step over
+    8-byte lanes, so no temporary outgrows a chunk.
+
+    A depth-d image q satisfies q < 3^d, as T(t) + 1 <= 3(t + 1)/2 and
+    r < 2^d: a child of depth d has q < 2 * 3^(d-1) before its step, and
+    the 3q + 1 that _step forms is below 2 * 3^SIEVE_MAX_DEPTH < 2^63,
+    inside its lane.  n stays below 256, so the n bytes and the parity
+    bytes add as two ints, with no carry between bytes."""
+    qs = qs + list(map(add, qs, map(pow3.__getitem__, ns)))
+    stepped, odd = [], bytearray()
+    for start in range(0, len(qs), WALK_LANES):
+        chunk = qs[start : start + WALK_LANES]
+        ones = _lane_masks(8, len(chunk))[0]
+        t = _pack(chunk, 8)
+        odd += (t & ones).to_bytes(8 * len(chunk), "little")[::8]
+        stepped += _unpack(_step(t, ones, 64), len(chunk), 8)
+    ns = int.from_bytes(ns + ns, "little") + int.from_bytes(odd, "little")
+    return rs + list(map(add, rs, repeat(half))), stepped, ns.to_bytes(len(qs), "little")
 
 
 def sieve(k: int) -> list[SurvivalRecord]:
     """Depth-k snapshot of the survival sieve, ascending by residue.
 
-    Seeded at 3 (mod 4), the only non-trivial depth-2 class.  Each deeper
-    level doubles every survivor r into r, which keeps the parent's exact
-    image, and r + 2^(depth-1), which shifts it by 3^n; one T-step follows.
-    Both halves are ascending and need no sort, because the parents are.
-    Each level is consumed by the next one's survivor filter, so only
-    survivors are kept, and records are built for depth k only.  Depths above
+    Seeded at 3 (mod 4), the only non-trivial depth-2 class.  Each level is
+    three columns, r, q and n (one byte per n).  Each deeper level keeps the
+    parents with depth - 1 <= kappa(n), by itertools.compress over a mask
+    translated from n, and _double doubles each into r, which keeps the
+    parent's exact image, and r + 2^(depth-1), which shifts it by 3^n, with
+    one T-step on core's lane engine.  Both halves are ascending and need no
+    sort, because the parents are.  Records are built for depth k only, one
+    field at a time: SurvivalRecord.__new__ for each, then each slot's store
+    over its column, the stores the frozen __init__ makes.  Depths above
     SIEVE_MAX_DEPTH (read per call) are refused with a ValueError that names
     w(SIEVE_MAX_DEPTH), the residues the deepest permitted depth tracks.
     """
@@ -61,11 +82,17 @@ def sieve(k: int) -> list[SurvivalRecord]:
     _refuse_above("sieve depths are", k, bound, depths)
     pow3 = [3**n for n in range(k + 1)]
     kap = [kappa(n) for n in range(k + 1)]
-    level = [(3, 8, 2)]
+    rs, qs, ns = [3], [8], bytes([2])
     for depth in range(3, k + 1):
-        parents = [t for t in level if depth - 1 <= kap[t[2]]]
-        level = _children(parents, 1 << (depth - 1), pow3)
-    return [SurvivalRecord(r, k, q, n, k <= kap[n]) for r, q, n in level]
+        keep = ns.translate(bytes(depth - 1 <= c for c in kap).ljust(256, b"\0"))
+        rs, qs, ns = list(compress(rs, keep)), list(compress(qs, keep)), bytes(compress(ns, keep))
+        rs, qs, ns = _double(rs, qs, ns, 1 << (depth - 1), pow3)
+    surviving = [k <= c for c in kap]
+    records = list(map(SurvivalRecord.__new__, repeat(SurvivalRecord, len(rs))))
+    columns = rs, repeat(k), qs, ns, map(surviving.__getitem__, ns)
+    for field, column in zip(SurvivalRecord.__slots__, columns):
+        deque(map(getattr(SurvivalRecord, field).__set__, records, column), 0)
+    return records
 
 
 @dataclass(frozen=True, slots=True)

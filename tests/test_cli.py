@@ -366,7 +366,7 @@ def test_level_above_the_bound_is_refused_before_building(run_cli, argv, monkeyp
     monkeypatch.setattr(ladder, "LadderRow", lambda *row: built.append(row))
     cache = _cleared_level_cache()
     monkeypatch.setattr(ptree, "_tree_level", lambda n: built.append(n))
-    monkeypatch.setattr(verify, "_children", lambda *args: built.append(args))
+    monkeypatch.setattr(verify, "_double", lambda *args: built.append(args))
     rows = triangle._rows
     monkeypatch.setattr(triangle, "_rows", lambda max_n: rolled.append(max_n) or rows(max_n))
     count = lambda k: counted.append(k) or triangle.survivor_counts(k)

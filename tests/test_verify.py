@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from functools import lru_cache
 
@@ -12,6 +13,8 @@ from collatz_stopping.ptree import generate_vset, level_residues
 from collatz_stopping.triangle import build_triangle, class_counts, w, z_from_triangle
 from collatz_stopping.verify import (
     GROUP_STRIDE,
+    SIEVE_MAX_DEPTH,
+    SurvivalRecord,
     VerificationReport,
     residue_table,
     sieve,
@@ -145,6 +148,53 @@ def test_sieve_records_match_forward_map():
                 expected.append((r, k, q, n, k <= kappa(n)))
         records = [(rec.r, rec.k, rec.q, rec.n, rec.surviving) for rec in sieve(k)]
         assert records == expected
+
+
+def reference_sieve(k):
+    """The tuple sieve: every survivor (r, q, n) doubled into r and r + 2^(depth-1),
+    each child one scalar T-step on, records built by SurvivalRecord."""
+    kap = [kappa(n) for n in range(k + 1)]
+    level = [(3, 8, 2)]
+    for depth in range(3, k + 1):
+        parents = [(r, q, n) for r, q, n in level if depth - 1 <= kap[n]]
+        half = 1 << (depth - 1)
+        children = parents + [(r + half, q + 3**n, n) for r, q, n in parents]
+        level = [(r, (3 * q + 1) >> 1, n + 1) if q & 1 else (r, q >> 1, n) for r, q, n in children]
+    return [SurvivalRecord(r, k, q, n, k <= kap[n]) for r, q, n in level]
+
+
+def test_sieve_equals_the_tuple_sieve_record_by_record():
+    for k in range(2, 21):
+        assert sieve(k) == reference_sieve(k)
+
+
+def test_field_built_records_behave_like_init_built_ones():
+    records, built = sieve(12), reference_sieve(12)
+    assert records == built and len(records) == 2 * w(build_triangle(11), 11)
+    assert list(map(hash, records)) == list(map(hash, built))
+    assert list(map(repr, records)) == list(map(repr, built))
+    assert [dataclasses.astuple(rec) for rec in records] == list(map(dataclasses.astuple, built))
+    for rec, ref in zip(records, built):
+        assert type(rec) is SurvivalRecord and type(rec.surviving) is bool
+        assert all(hasattr(rec, field) for field in SurvivalRecord.__slots__)  # every slot set
+        assert dataclasses.replace(rec, q=rec.q + 1) == dataclasses.replace(ref, q=ref.q + 1)
+        assert dataclasses.replace(rec) == ref
+    rec = records[len(records) // 2]
+    for field in SurvivalRecord.__slots__:
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(rec, field, 0)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(rec, field)
+    assert rec == built[len(records) // 2]
+
+
+def test_sieve_lanes_stay_exact_up_to_the_depth_bound():
+    # T(t) + 1 <= 3(t + 1)/2, so a depth-d image of r < 2^d has q < 3^d, a child
+    # has q < 2 * 3^(d-1) before its step, and the 3q + 1 that the step forms
+    # is below 2 * 3^SIEVE_MAX_DEPTH: the 8-byte lanes hold it only below 2^63
+    assert 2 * 3**SIEVE_MAX_DEPTH < 2**63
+    for k in range(2, 19):
+        assert all(rec.q < 3**k for rec in sieve(k))
 
 
 def test_sieve_bound_refusal_names_survivor_count(monkeypatch):

@@ -14,6 +14,8 @@ from . import ladder
 
 Bits = tuple[int, ...]
 
+MAX_STOPPING_BITS = 16_384  # x's bits in stopping_time: past the CLI's 4,300 digits (14,285 bits)
+
 
 def t_step(x: int) -> int:
     """One map application: x/2 for even x, (3x+1)/2 for odd x."""
@@ -41,8 +43,9 @@ def stopping_time(x: int, cap: int) -> int | None:
 
     None is the explicit "unknown" outcome: a hypothetical divergent orbit
     exhausts the budget instead of looping forever.  x = 1 is excluded
-    (T(1) = 2 never drops below 1).  Each step still costs time linear in
-    x's bits; at the CLI, Python's 4,300-digit int parsing limit bounds x.
+    (T(1) = 2 never drops below 1).  Each step costs time linear in x's bits,
+    so x is refused past MAX_STOPPING_BITS bits (read per call) before the
+    walk: x = 2^16384 - 1 stops at step 63,635 in about 0.7 s.
     """
     if x < 2:
         raise ValueError(f"stopping time is undefined for x < 2, got {x}")
@@ -50,6 +53,8 @@ def stopping_time(x: int, cap: int) -> int | None:
     n = ladder.MAX_LADDER_TERMS
     bound = ladder.kappa(n)
     ladder._refuse_above("step caps are", cap, bound, lambda: f"{bound} steps (kappa({n}))")
+    bits = MAX_STOPPING_BITS
+    ladder._refuse_above("stopping time inputs are", x.bit_length(), bits, lambda: f"{bits} bits")
     t = x
     for s in range(1, cap + 1):
         t = t // 2 if t % 2 == 0 else (3 * t + 1) // 2

@@ -13,9 +13,9 @@ order the construction emits vectors:
 Emission order is the contract: per-h ranks p, the candidate-tuple ordering
 and the residue recurrences all refer to it.  One walker, _tree_level,
 applies the steps and keeps each level; every reader here reads it, and
-_level_classes reads each level's residues off its weighted sums without
-solving each vector.  Every public reader refuses levels above MAX_RESIDUE_LEVEL
-(read per call) before it builds one.
+_walked_classes reads each level's residues off its weighted sums without
+solving each vector, and keeps them too.  Every public reader refuses
+levels above MAX_RESIDUE_LEVEL (read per call) before it builds one.
 """
 
 from __future__ import annotations
@@ -85,7 +85,8 @@ def leading_ones(bits: Bits) -> int:
 def _tree_level(n: int) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
     """Level n in emission order as three parallel tuples: each entry's
     weighted sum S (diophantine's docstring), final-1 position and leading-ones
-    count h.  Extended from level n-1 once per process; levels 1..14 take 4.6 MB."""
+    count h.  Extended from level n-1 once per process; levels 1..14 take
+    4.5 MB, and their cached _walked_classes 2.9 MB more."""
     if n == 1:
         return (5,), (1,), (2,)  # the root (1, 1): S = 3 * 2^0 + 2^1
     top = kappa(n)
@@ -127,19 +128,20 @@ def _first_nonmember(xs: list[int], sig: int) -> int | None:
     return None
 
 
-def _level_classes(n: int) -> list[int]:
-    """Level n's residues (mod 2^sigma_n) in emission order, read off the
-    cached level without solving each vector: x = -S * 3^-(n+1)
-    (mod 2^sigma_n) for each entry's weighted sum S.  WALK_LANES sums at a
-    time fill 8-byte lanes, cut to S mod 2^sigma_n, and one multiply by
-    -3^-(n+1) mod 2^sigma_n and one mask derive them all, read back by
-    _unpack: for sigma_n <= 32 (n <= 19) no lane's product reaches 2^64,
-    and a deeper level is refused before it is built.  Every x is still
-    walked sigma_n steps and must be a member (solve_vector's predicate),
-    that is, stop exactly at sigma_n: _first_nonmember reads this off
-    _walk's counts.  The solved closing vector must be a member equal to the
-    level's last residue.  Either failure raises RuntimeError, a non-member
-    naming the first offender in emission order.
+@lru_cache(maxsize=None)
+def _walked_classes(n: int) -> tuple[int, ...]:
+    """Level n's residues (mod 2^sigma_n) in emission order, derived and
+    walked once per process: a tuple cached like _tree_level, so no reader
+    can change it.  They are read off the cached level without solving each
+    vector: x = -S * 3^-(n+1) (mod 2^sigma_n) for each entry's weighted sum
+    S.  WALK_LANES sums at a time fill 8-byte lanes, cut to S mod 2^sigma_n,
+    and one multiply by -3^-(n+1) mod 2^sigma_n and one mask derive them
+    all, read back by _unpack: for sigma_n <= 32 (n <= 19) no lane's product
+    reaches 2^64, and a deeper level is refused before it is built.  Every x
+    is still walked sigma_n steps and must be a member (solve_vector's
+    predicate), that is, stop exactly at sigma_n: _first_nonmember reads
+    this off _walk's counts, and a non-member raises RuntimeError naming the
+    first offender in emission order.
     """
     sig, mod, _, inv = _level_constants(n)
     _refuse_above("classes in 8-byte lanes are", sig, 32, lambda: "sigma_n <= 32")
@@ -153,6 +155,16 @@ def _level_classes(n: int) -> list[int]:
         residues += _unpack(lanes, len(chunk), 8)
     if (bad := _first_nonmember(residues, sig)) is not None:
         raise RuntimeError(f"level {n} holds a class {residues[bad]} that is not a member")
+    return tuple(residues)
+
+
+def _level_classes(n: int) -> tuple[int, ...]:
+    """Level n's residues in emission order: the tuple _walked_classes
+    derives and walks once per process, certified on every call.  The
+    solved closing vector must be a member equal to the level's last
+    residue, or RuntimeError; this one solve per level per call stays
+    outside the cache."""
+    residues = _walked_classes(n)
     closing = solve_vector((1,) * (n + 1) + (0,) * (kappa(n) - n))
     if not closing.member or closing.x != residues[-1]:
         raise RuntimeError(
@@ -170,8 +182,9 @@ def _level_solutions(n: int) -> list[tuple[int, int]]:
 
 
 def level_residues(n: int) -> tuple[int, ...]:
-    """Ascending residues (mod 2^sigma_n) of the level-n classes, read along
-    the tree; only level n's classes are walked."""
+    """Ascending residues (mod 2^sigma_n) of the level-n classes, sorted on
+    every call from _level_classes(n); only level n's classes are walked,
+    once per process."""
     _check_level(n)
     return tuple(sorted(_level_classes(n)))
 

@@ -111,7 +111,8 @@ class ResidueBlock:
 
 def residue_table(n_max: int) -> list[ResidueBlock]:
     """Stopping-time classes: the trivial sigma = 1, 2 blocks followed by the
-    ascending class list of each level n = 1..n_max."""
+    ascending class list of each level n = 1..n_max, rebuilt on every call
+    from the cached classes of ptree's level_residues."""
     ptree._check_level(n_max)
     trivial = [ResidueBlock(1, None, (0,)), ResidueBlock(2, None, (1,))]
     levels = range(1, n_max + 1)
@@ -243,16 +244,17 @@ def verify_range(
     it in exactly the predicted class of residue_table(n_max).
 
     The prediction is one byte per residue (mod 2^sigma_n(n_max)): 64 KB at
-    n_max 9, 16 MB at n_max 14.  Simulation runs with budget
-    sigma_n(n_max) + 1; x that do not stop within the table horizon are
-    counted as beyond_table, not as mismatches (they must then lie in no
-    class at all).  Every x is simulated and compared with its table byte by
-    _scan_block's lane walk: WALK_LANES integers of one residue mod
-    GROUP_STRIDE per big-integer step, mismatches in ascending x.  The serial
-    call and every worker's share run _scan_block(lo, hi, n_max): one call,
-    or one contiguous share per worker process, at most min(jobs,
-    ceil(width / BLOCK_SIZE), CPUs) of them; shares merge in ascending
-    order, so every jobs setting gives one report.
+    n_max 9, 16 MB at n_max 14, rebuilt by every call and every worker from
+    residue_table, whose classes each process derives once.  Simulation
+    runs with budget sigma_n(n_max) + 1; x that do not stop within the
+    table horizon are counted as beyond_table, not as mismatches (they must
+    then lie in no class at all).  Every x is simulated and compared with
+    its table byte by _scan_block's lane walk: WALK_LANES integers of one
+    residue mod GROUP_STRIDE per big-integer step, mismatches in ascending
+    x.  The serial call and every worker's share run _scan_block(lo, hi,
+    n_max): one call, or one contiguous share per worker process, at most
+    min(jobs, ceil(width / BLOCK_SIZE), CPUs) of them; shares merge in
+    ascending order, so every jobs setting gives one report.
     """
     _refuse_below("x_lo", x_lo, 2)
     if x_hi < x_lo:

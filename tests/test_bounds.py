@@ -105,6 +105,29 @@ def test_the_kappa_bound_is_read_per_call(monkeypatch):
     assert ladder.sigma_n(49) == ladder.kappa(50) + 1
 
 
+def test_stopping_time_refuses_an_x_past_its_bit_bound_before_the_walk(monkeypatch, capsys):
+    from collatz_stopping.cli import main
+
+    # the CLI parses x up to 4,300 digits, inside the bound
+    assert (10**4300 - 1).bit_length() == 14_285 < core.MAX_STOPPING_BITS == 16_384
+    cap = ladder.kappa(ladder.MAX_LADDER_TERMS)
+    refusal = "^stopping time inputs are bounded at 16384 bits; requested {}$"
+    for bits in (16_385, 10**6):
+        x = (1 << bits) - 1  # climbs for bits steps, if walked
+        t0 = time.perf_counter()
+        with pytest.raises(ValueError, match=refusal.format(bits)):
+            core.stopping_time(x, cap)
+        assert time.perf_counter() - t0 < 0.1
+    assert core.stopping_time((1 << 16_384) - 2, cap) == 1
+    # the bound is read per call, by the CLI's sigma too
+    monkeypatch.setattr(core, "MAX_STOPPING_BITS", 10)
+    assert main(["sigma", "1024"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: stopping time inputs are bounded at 10 bits; requested 11\n"
+    assert main(["sigma", "1023"]) == 0
+    assert capsys.readouterr().out == f"sigma(1023) = {core.stopping_time(1023, 10_000)}\n"
+
+
 def test_the_cli_follows_the_moved_bounds(monkeypatch, capsys):
     from collatz_stopping.cli import main
 

@@ -282,6 +282,7 @@ def _cleared_level_cache():
     from collatz_stopping import ptree
 
     ptree._tree_level.cache_clear()
+    ptree._walked_classes.cache_clear()
     return ptree._tree_level
 
 

@@ -1,12 +1,15 @@
-"""Each tree level is extended once per process, whichever readers ask."""
+"""Each tree level is extended, and its classes walked, once per process,
+whichever readers ask."""
 
 from collatz_stopping import ptree
+from collatz_stopping.ladder import sigma_n
 from collatz_stopping.ptree import export_tree, generate_vset, level_residues, phn_counts, vset_levels
 from collatz_stopping.verify import residue_table, verify_range
 
 
 def test_each_level_is_extended_once():
     ptree._tree_level.cache_clear()
+    ptree._walked_classes.cache_clear()
     # the class lists read the same cached levels as the vector sets
     residue_table(10)
     verify_range(2, 4096, 10)
@@ -22,3 +25,28 @@ def test_each_level_is_extended_once():
     # a level is extended on each cache miss: levels 1..10, once each
     info = ptree._tree_level.cache_info()
     assert info.misses == info.currsize == 10
+
+
+def test_each_levels_classes_are_walked_once_per_process(monkeypatch):
+    ptree._tree_level.cache_clear()
+    ptree._walked_classes.cache_clear()
+    walked = []
+    walk = ptree._first_nonmember
+    spy = lambda xs, sig: walked.append(sig) or walk(xs, sig)
+    monkeypatch.setattr(ptree, "_first_nonmember", spy)
+    residue_table(10)
+    verify_range(2, 4096, 10)
+    verify_range(2, 4096, 10)
+    level_residues(10)
+    ptree._level_solutions(10)
+    export_tree(6, with_solutions=True)
+    # one sigma_n-step walk per level 1..10, in the order residue_table reads them
+    assert walked == [sigma_n(n) for n in range(1, 11)]
+
+
+def test_the_cached_classes_are_a_tuple_equal_to_a_fresh_derivation():
+    for n in range(1, 15):
+        cached = ptree._walked_classes(n)
+        assert type(cached) is tuple
+        assert cached == ptree._walked_classes.__wrapped__(n)
+        assert ptree._level_classes(n) is cached

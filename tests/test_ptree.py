@@ -292,7 +292,7 @@ def test_lane_derived_classes_equal_the_scalar_formula_through_level_14():
 
     for n in range(1, 15):
         _, mod, _, inv = _level_constants(n)
-        assert ptree._level_classes(n) == [-s * inv % mod for s in ptree._tree_level(n)[0]]
+        assert ptree._level_classes(n) == tuple(-s * inv % mod for s in ptree._tree_level(n)[0])
 
 
 def test_a_forged_sum_is_caught_by_the_walk_and_named(monkeypatch):
@@ -305,6 +305,7 @@ def test_a_forged_sum_is_caught_by_the_walk_and_named(monkeypatch):
     forged = sums[:i] + ((-bad * p3) % mod,) + sums[i + 1 :]
     real = ptree._tree_level
     monkeypatch.setattr(ptree, "_tree_level", lambda m: (forged, ends, heads) if m == n else real(m))
+    ptree._walked_classes.cache_clear()
     with pytest.raises(RuntimeError, match=f"^level {n} holds a class {bad} that is not a member$"):
         ptree._level_classes(n)
 

@@ -535,7 +535,7 @@ def test_stream_equals_the_solver_on_every_entry_in_emission_order():
 
     for n in range(1, 13):
         residues = ptree._level_classes(n)
-        assert residues == [solve_vector(e.vector).x for e in generate_vset(n)]
+        assert residues == tuple(solve_vector(e.vector).x for e in generate_vset(n))
 
 
 def test_sorted_stream_equals_the_oracle_on_the_deepest_levels():
@@ -602,6 +602,7 @@ def test_the_stream_walks_every_class(monkeypatch):
         forged = lambda m, n=n, sums=tuple(sums): (sums, *level(m)[1:]) if m == n else level(m)
         first = solve_vector(strays[where.index(min(where))]).x
         refusal = rf"^level {n} holds a class {first} that is not a member$"
+        ptree._walked_classes.cache_clear()
         with monkeypatch.context() as patch:
             patch.setattr(ptree, "_tree_level", forged)
             assert len(residue_table(n - 1)) == n + 1
@@ -770,6 +771,7 @@ def test_a_level_that_never_closes_is_refused(monkeypatch):
     # the root grown straight to level 3: its chain ends with 3 leading ones, not 4
     level = ptree._tree_level
     level.cache_clear()
+    ptree._walked_classes.cache_clear()
     monkeypatch.setattr(ptree, "_tree_level", lambda n: ((5,), (1,), (2,)) if n == 2 else level(n))
     with pytest.raises(RuntimeError, match="^level 3 did not close on the all-leading-ones vector$"):
         level_residues(3)
@@ -781,6 +783,7 @@ def test_level_residues_walks_only_its_own_level(monkeypatch):
     # a level's classes are walked with its constants: only level 14's here
     walked = []
     constants = ptree._level_constants
+    ptree._walked_classes.cache_clear()
     monkeypatch.setattr(ptree, "_level_constants", lambda n: walked.append(n) or constants(n))
     residues = level_residues(14)
     assert walked == [14]

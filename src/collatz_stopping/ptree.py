@@ -14,13 +14,12 @@ Emission order is the contract: per-h ranks p, the candidate-tuple ordering
 and the residue recurrences all refer to it.  One walker, _tree_level,
 applies the steps and keeps each level; every reader here reads it, and
 _walked_classes reads each level's residues off its weighted sums without
-solving each vector, and keeps them too.  Every public reader refuses
-levels above MAX_RESIDUE_LEVEL (read per call) before it builds one.
+solving each vector and keeps them, sorted once by _ascending.  Every public
+reader refuses levels above MAX_RESIDUE_LEVEL (read per call) before it builds one.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from functools import lru_cache
 from itertools import combinations
 from math import comb
@@ -82,16 +81,16 @@ def leading_ones(bits: Bits) -> int:
 
 
 @lru_cache(maxsize=None)
-def _tree_level(n: int) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
-    """Level n in emission order as three parallel tuples: each entry's
-    weighted sum S (diophantine's docstring), final-1 position and leading-ones
-    count h.  Extended from level n-1 once per process; levels 1..14 take
-    4.5 MB, and their cached _walked_classes 2.9 MB more."""
+def _tree_level(n: int) -> tuple[tuple[int, ...], bytes, bytes]:
+    """Level n in emission order: a tuple of each entry's weighted sum S
+    (diophantine's docstring), and bytes of its final-1 position and leading-ones
+    count h (kappa(n) < 256).  Extended from level n-1 once per process; levels
+    1..14 take 3.4 MB, and their cached _walked_classes 2.9 MB more."""
     if n == 1:
-        return (5,), (1,), (2,)  # the root (1, 1): S = 3 * 2^0 + 2^1
+        return (5,), b"\x01", b"\x02"  # the root (1, 1): S = 3 * 2^0 + 2^1
     top = kappa(n)
     bit = 1 << top
-    sums, ends, heads = [], [], []
+    sums, ends, heads = [], bytearray(), bytearray()
     for s, q, h in zip(*_tree_level(n - 1)):  # the parent's final 1 is the child's q
         s, p = 3 * s + bit, top  # step 1: the final 1 lands at kappa(n)
         sums.append(s)
@@ -106,7 +105,7 @@ def _tree_level(n: int) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ..
             ends.append(p)
             heads.append(h)
         if p == n:  # step 3: ones fill 0..n, so h = n + 1 and the level closes
-            return tuple(sums), tuple(ends), tuple(heads)
+            return tuple(sums), bytes(ends), bytes(heads)
     raise RuntimeError(f"level {n} did not close on the all-leading-ones vector")
 
 
@@ -181,12 +180,17 @@ def _level_solutions(n: int) -> list[tuple[int, int]]:
     return [(x, (p3 * x + s) >> sig) for x, s in zip(_level_classes(n), _tree_level(n)[0])]
 
 
+@lru_cache(maxsize=None)
+def _ascending(classes: tuple[int, ...]) -> tuple[int, ...]:
+    """classes sorted, once per distinct tuple: a forged class list is a new key."""
+    return tuple(sorted(classes))
+
+
 def level_residues(n: int) -> tuple[int, ...]:
-    """Ascending residues (mod 2^sigma_n) of the level-n classes, sorted on
-    every call from _level_classes(n); only level n's classes are walked,
-    once per process."""
+    """Ascending residues (mod 2^sigma_n) of the level-n classes: _level_classes(n),
+    certified on every call, walked and sorted (_ascending) once per process."""
     _check_level(n)
-    return tuple(sorted(_level_classes(n)))
+    return _ascending(tuple(_level_classes(n)))
 
 
 def _entry_levels(n_max: int):
@@ -234,9 +238,10 @@ def generate_vset(n: int) -> list[VSetEntry]:
 
 
 def phn_counts(n: int) -> dict[int, int]:
-    """Histogram of leading-ones counts h over the level-n set."""
+    """Histogram of leading-ones counts h (2..n+1) in level n's byte column."""
     _check_level(n)
-    return dict(Counter(_tree_level(n)[2]))
+    heads = _tree_level(n)[2]
+    return {h: c for h in range(2, n + 2) if (c := heads.count(h))}
 
 
 def ln_count(n: int) -> int:

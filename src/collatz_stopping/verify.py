@@ -111,8 +111,8 @@ class ResidueBlock:
 
 def residue_table(n_max: int) -> list[ResidueBlock]:
     """Stopping-time classes: the trivial sigma = 1, 2 blocks followed by the
-    ascending class list of each level n = 1..n_max, rebuilt on every call
-    from the cached classes of ptree's level_residues."""
+    ascending class list of each level n = 1..n_max, ptree's level_residues:
+    new blocks on every call around each level's tuple, sorted once per process."""
     ptree._check_level(n_max)
     trivial = [ResidueBlock(1, None, (0,)), ResidueBlock(2, None, (1,))]
     levels = range(1, n_max + 1)
@@ -245,10 +245,10 @@ def verify_range(
 
     The prediction is one byte per residue (mod 2^sigma_n(n_max)): 64 KB at
     n_max 9, 16 MB at n_max 14, rebuilt by every call and every worker from
-    residue_table, whose classes each process derives once.  Simulation
-    runs with budget sigma_n(n_max) + 1; x that do not stop within the
-    table horizon are counted as beyond_table, not as mismatches (they must
-    then lie in no class at all).  Every x is simulated and compared with
+    residue_table, whose classes each process derives and sorts once.
+    Simulation runs with budget sigma_n(n_max) + 1; x that do not stop within
+    the table horizon are counted as beyond_table, not as mismatches (they
+    must then lie in no class at all).  Every x is simulated and compared with
     its table byte by _scan_block's lane walk: WALK_LANES integers of one
     residue mod GROUP_STRIDE per big-integer step, mismatches in ascending
     x.  The serial call and every worker's share run _scan_block(lo, hi,

@@ -22,6 +22,19 @@ def trailing_zeros(bits: tuple[int, ...]) -> int:
     return j
 
 
+def forge_level(monkeypatch, n, edit):
+    """Route level n's residues through edit, in every class list."""
+    from collatz_stopping import ptree
+
+    classes = ptree._level_classes
+
+    def forged(level):
+        residues = classes(level)
+        return sorted(edit(set(residues))) if level == n else residues
+
+    monkeypatch.setattr(ptree, "_level_classes", forged)
+
+
 @pytest.fixture(scope="session")
 def residue_classes():
     """{sigma: (modulus, [residues])}"""

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import subprocess
 import sys
@@ -283,7 +284,28 @@ def _cleared_level_cache():
 
     ptree._tree_level.cache_clear()
     ptree._walked_classes.cache_clear()
+    ptree._ascending.cache_clear()
     return ptree._tree_level
+
+
+# sha256 pins of the CI entry-point step; each command runs twice in one
+# process, and the second call reads the cached levels, classes and orders
+PINS = {
+    ("residues", "--sigma-index", "14"): "032a6c89809abc7fec67d3a88feaf4558185beb0b8d4b8e5d313ba8a450d6d39",
+    ("oeis", "A177789", "--terms", "81117"): "af4eeb9e2d5188227b02ee8e1ea35ef7c80053f855b3031b1a15826445058282",
+    ("vset", "14", "--with-solutions"): "2789a274136bed623f4ce04d3c69eac0d1dfb1007374feffb9305e48cb1c535a",
+    ("vset", "10", "--format", "dot", "--with-solutions"): "28661e192062f102e3f8ec8f220f7447c9490d3ffb53ccc7e0664f394e503781",
+}
+
+
+@pytest.mark.parametrize("argv", PINS, ids=" ".join)
+def test_pinned_output_is_unchanged_on_a_second_call(run_cli, argv):
+    _cleared_level_cache()
+    runs = []
+    for _ in range(2):
+        code, out, err = run_cli(*argv)
+        runs.append((code, hashlib.sha256(out.encode()).hexdigest(), err))
+    assert runs == [(0, PINS[argv], "")] * 2
 
 
 def test_oeis_refusal_builds_no_level(run_cli):

@@ -1,10 +1,11 @@
-"""Each tree level is extended, and its classes walked, once per process,
-whichever readers ask."""
+"""Each tree level is extended, and its classes walked and sorted, once per
+process, whichever readers ask."""
 
 from collatz_stopping import ptree
 from collatz_stopping.ladder import sigma_n
 from collatz_stopping.ptree import export_tree, generate_vset, level_residues, phn_counts, vset_levels
 from collatz_stopping.verify import residue_table, verify_range
+from conftest import forge_level
 
 
 def test_each_level_is_extended_once():
@@ -50,3 +51,34 @@ def test_the_cached_classes_are_a_tuple_equal_to_a_fresh_derivation():
         assert type(cached) is tuple
         assert cached == ptree._walked_classes.__wrapped__(n)
         assert ptree._level_classes(n) is cached
+
+
+def test_each_levels_classes_are_sorted_once_per_process(monkeypatch):
+    for cache in (ptree._tree_level, ptree._walked_classes, ptree._ascending):
+        cache.cache_clear()
+    read, returned = ptree.level_residues, []
+    spy = lambda n: returned.append((n, read(n))) or returned[-1][1]
+    monkeypatch.setattr(ptree, "level_residues", spy)
+    residue_table(12)
+    residue_table(12)
+    ptree.level_residues(12)
+    verify_range(2, 4096, 12)
+    # one sort per level 1..12, and every reader gets that level's one tuple
+    info = ptree._ascending.cache_info()
+    assert info.misses == info.currsize == 12
+    assert len(returned) == 3 * 12 + 1
+    first = {}
+    for n, residues in returned:
+        assert residues is first.setdefault(n, residues)
+
+
+def test_a_forged_level_is_sorted_afresh_past_a_warm_memo(monkeypatch):
+    assert level_residues(2) == (11, 23)
+    assert residue_table(4)[3].residues == (11, 23)
+    assert verify_range(2, 200, 4).ok
+    # the memo is keyed on the classes, so dropping 23 from level 2 shows
+    forge_level(monkeypatch, 2, lambda rs: rs - {23})
+    assert level_residues(2) == (11,)
+    assert residue_table(4)[3].residues == (11,)
+    report = verify_range(2, 200, 4)
+    assert report.mismatches == tuple((x, None, 5) for x in range(23, 200, 32))

@@ -51,14 +51,21 @@ def reference_extend_level(prev, n):
 
 
 def test_walker_equals_the_bit_tuple_oracle_through_level_14():
+    from collatz_stopping import ptree
+
     levels = vset_levels(14)
     expected = [ROOT]
-    assert levels[1] == expected
-    for n in range(2, 15):
-        expected = reference_extend_level(expected, n)
+    for n in range(1, 15):
+        if n > 1:
+            expected = reference_extend_level(expected, n)
         # every field: vector, n, h, p and parent
         assert levels[n] == expected
         assert phn_counts(n) == dict(Counter(e.h for e in expected))
+        # the cached level's byte columns: each final-1 position and h
+        _, ends, heads = ptree._tree_level(n)
+        assert type(ends) is type(heads) is bytes
+        assert ends == bytes(len(e.vector) - 1 - e.vector[::-1].index(1) for e in expected)
+        assert heads == bytes(e.h for e in expected)
     assert generate_vset(14) == expected
 
 

@@ -20,6 +20,7 @@ from collatz_stopping.verify import (
     sieve,
     verify_range,
 )
+from conftest import forge_level
 
 
 def reference_level_residues(n):
@@ -307,22 +308,9 @@ def test_verify_range_preconditions():
         verify_range(2, 10, 0)
 
 
-def _forge_level(monkeypatch, n, edit):
-    """Route level n's residues through edit, in every class list."""
-    from collatz_stopping import ptree
-
-    classes = ptree._level_classes
-
-    def forged(level):
-        residues = classes(level)
-        return sorted(edit(set(residues))) if level == n else residues
-
-    monkeypatch.setattr(ptree, "_level_classes", forged)
-
-
 def test_verify_range_reports_a_dropped_class(monkeypatch):
     # without 23 (mod 32), each x = 23 (mod 32) stops at 5 in no class
-    _forge_level(monkeypatch, 2, lambda rs: rs - {23})
+    forge_level(monkeypatch, 2, lambda rs: rs - {23})
     report = verify_range(2, 200, 4)
     assert report.mismatches == tuple((x, None, 5) for x in range(23, 200, 32))
     assert not report.ok
@@ -330,7 +318,7 @@ def test_verify_range_reports_a_dropped_class(monkeypatch):
 
 def test_verify_range_reports_a_forged_class(monkeypatch):
     # 7 (mod 32) lies in no other class, and its integers do not stop at 5
-    _forge_level(monkeypatch, 2, lambda rs: rs | {7})
+    forge_level(monkeypatch, 2, lambda rs: rs | {7})
     report = verify_range(2, 300, 2)
     assert report.mismatches == tuple(
         (x, 5, stopping_time(x, sigma_n(2) + 1)) for x in range(7, 300, 32)
@@ -339,14 +327,14 @@ def test_verify_range_reports_a_forged_class(monkeypatch):
 
 def test_verify_range_refuses_overlapping_classes(monkeypatch):
     # 3 (mod 32) lies inside level 1's class 3 (mod 16)
-    _forge_level(monkeypatch, 2, lambda rs: rs | {3})
+    forge_level(monkeypatch, 2, lambda rs: rs | {3})
     with pytest.raises(RuntimeError, match=r"class 3 \(mod 2\^5\) lies inside class 3"):
         verify_range(2, 200, 4)
 
 
 def test_verify_range_refuses_a_class_inside_a_trivial_block(monkeypatch):
     # 4 (mod 32) is even: it lies inside the trivial class 0 (mod 2)
-    _forge_level(monkeypatch, 2, lambda rs: rs | {4})
+    forge_level(monkeypatch, 2, lambda rs: rs | {4})
     with pytest.raises(RuntimeError) as refused:
         verify_range(2, 200, 4)
     assert str(refused.value) == "class 4 (mod 2^5) lies inside class 0 (mod 2^1)"
@@ -431,7 +419,7 @@ def test_forged_table_mismatches_stay_ascending_across_groups_and_chunks(
     # x = 23 (mod 32) stops at 5 in no class; x = 7 (mod 32) is forged into
     # one and does not stop at 5; x = 11 (mod 16) is forged to stop at 4,
     # and x = 11 (mod 32) stops at 5, one step past n_max 1's table
-    _forge_level(monkeypatch, level, edit)
+    forge_level(monkeypatch, level, edit)
     lo = (1 << 36) + 101
     hi = lo + CHUNK + 5000
     report = verify_range(lo, hi, n_max)
@@ -471,7 +459,7 @@ def test_scan_lane_width_holds_every_step(data, steps, c):
 def test_forged_tables_agree_with_the_reference_scan(monkeypatch, jobs, edit, hi, n_max):
     from collatz_stopping import verify
 
-    _forge_level(monkeypatch, 2, edit)
+    forge_level(monkeypatch, 2, edit)
     pools = _in_process_pool(monkeypatch, 2)
     monkeypatch.setattr(verify, "BLOCK_SIZE", 64)
     report = verify_range(2, hi, n_max, jobs=jobs)
@@ -1007,7 +995,7 @@ def test_parallel_merge_keeps_mismatch_order_across_shares(monkeypatch):
     from collatz_stopping import verify
 
     # without 23 (mod 32), each x = 23 (mod 32) stops at 5 in no class
-    _forge_level(monkeypatch, 2, lambda rs: rs - {23})
+    forge_level(monkeypatch, 2, lambda rs: rs - {23})
     pools = _in_process_pool(monkeypatch, 3)
     monkeypatch.setattr(verify, "BLOCK_SIZE", 64)
     hi = 2 + 3 * 64

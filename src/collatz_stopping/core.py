@@ -14,7 +14,7 @@ from . import ladder
 
 Bits = tuple[int, ...]
 
-MAX_STOPPING_BITS = 16_384  # x's bits in stopping_time: past the CLI's 4,300 digits (14,285 bits)
+MAX_STOPPING_BITS = 16_384  # x's bits in stopping_time and trajectory: past the CLI's 4,300 digits
 
 
 def t_step(x: int) -> int:
@@ -24,12 +24,18 @@ def t_step(x: int) -> int:
 
 
 def trajectory(x: int, steps: int) -> list[int]:
-    """The terms T^0(x) .. T^steps(x), steps <= kappa(MAX_LADDER_TERMS)."""
+    """The terms T^0(x) .. T^steps(x), steps <= kappa(MAX_LADDER_TERMS).
+
+    All steps + 1 terms are kept, so x is refused past MAX_STOPPING_BITS bits
+    (read per call) as well: at both bounds, trajectory(2^16384 - 1, 158_496)
+    holds 273 MB and takes about 1 s."""
     ladder._refuse_below("x", x, 1)
     ladder._refuse_below("steps", steps, 0)
     n = ladder.MAX_LADDER_TERMS
     bound = ladder.kappa(n)
     ladder._refuse_above("trajectories are", steps, bound, lambda: f"{bound} steps (kappa({n}))")
+    bits = MAX_STOPPING_BITS
+    ladder._refuse_above("trajectory inputs are", x.bit_length(), bits, lambda: f"{bits} bits")
     terms, t = [x], x
     for _ in range(steps):
         t = t // 2 if t % 2 == 0 else (3 * t + 1) // 2
@@ -74,7 +80,7 @@ def parity_vector_of(x: int, n: int) -> Bits:
 def forward_map(r: int, k: int) -> tuple[int, int]:
     """Push the residue r through k steps: (q, n) with q = T^k(r) and n the
     number of odd terms among T^0(r) .. T^(k-1)(r), both read off
-    trajectory(r, k), whose step bound it inherits; r = 0 gives (0, 0).
+    trajectory(r, k), whose step and bit bounds it inherits; r = 0 gives (0, 0).
 
     For every m >= 0, T^k(r + m*2^k) = q + m*3^n: the whole class r (mod 2^k)
     shares the parity prefix, so the class moves rigidly onto q (mod 3^n).

@@ -128,6 +128,32 @@ def test_stopping_time_refuses_an_x_past_its_bit_bound_before_the_walk(monkeypat
     assert capsys.readouterr().out == f"sigma(1023) = {core.stopping_time(1023, 10_000)}\n"
 
 
+# trajectory keeps every term, so it bounds x's bits at core.MAX_STOPPING_BITS
+# as well; parity_vector_of and forward_map read trajectory
+TRAJECTORY_READERS = {
+    "trajectory": lambda x: core.trajectory(x, 1),
+    "parity_vector_of": lambda x: core.parity_vector_of(x, 1),
+    "forward_map": lambda x: core.forward_map(x, 158_496),
+}
+
+
+@pytest.mark.parametrize("name", list(TRAJECTORY_READERS))
+def test_an_x_past_the_trajectory_bit_bound_is_refused_before_the_walk(name, monkeypatch):
+    call = TRAJECTORY_READERS[name]
+    refusal = "^trajectory inputs are bounded at {} bits; requested {}$"
+    for bits in (16_385, 158_496):
+        x = (1 << bits) - 1  # climbs for bits steps, if walked
+        t0 = time.perf_counter()
+        with pytest.raises(ValueError, match=refusal.format(16_384, bits)):
+            call(x)
+        assert time.perf_counter() - t0 < 0.1
+    # the bound is read per call
+    monkeypatch.setattr(core, "MAX_STOPPING_BITS", 10)
+    with pytest.raises(ValueError, match=refusal.format(10, 11)):
+        call(1024)
+    call(1023)
+
+
 def test_the_cli_follows_the_moved_bounds(monkeypatch, capsys):
     from collatz_stopping.cli import main
 

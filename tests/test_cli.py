@@ -13,6 +13,7 @@ from collatz_stopping.diophantine import solve_vector
 from collatz_stopping.ladder import kappa, ladder_rows, sigma_n
 from collatz_stopping.ptree import generate_vset, lex_tuples, ln_count
 from collatz_stopping.verify import sieve
+from conftest import fixture_lines
 
 
 @pytest.fixture
@@ -288,24 +289,96 @@ def _cleared_level_cache():
     return ptree._tree_level
 
 
-# sha256 pins of the CI entry-point step; each command runs twice in one
-# process, and the second call reads the cached levels, classes and orders
-PINS = {
-    ("residues", "--sigma-index", "14"): "032a6c89809abc7fec67d3a88feaf4558185beb0b8d4b8e5d313ba8a450d6d39",
-    ("oeis", "A177789", "--terms", "81117"): "af4eeb9e2d5188227b02ee8e1ea35ef7c80053f855b3031b1a15826445058282",
-    ("vset", "14", "--with-solutions"): "2789a274136bed623f4ce04d3c69eac0d1dfb1007374feffb9305e48cb1c535a",
-    ("vset", "10", "--format", "dot", "--with-solutions"): "28661e192062f102e3f8ec8f220f7447c9490d3ffb53ccc7e0664f394e503781",
-}
+PIN_KINDS = ("sha256", "last", "exit", "stderr")
 
 
-@pytest.mark.parametrize("argv", PINS, ids=" ".join)
+def parse_pins(lines):
+    """[(argv, kind, value)] of cli_pins.txt lines, '<argv> | <kind>=<value>'
+    split at the first ' | '.  A line without ' | ' or '=', of an unknown
+    kind or with an exit code other than 2 raises, so no pin is skipped."""
+    pins = []
+    for line in lines:
+        argv, bar, pin = line.partition(" | ")
+        kind, eq, value = pin.partition("=")
+        if not (bar and eq) or kind not in PIN_KINDS or (kind == "exit" and value != "2"):
+            raise ValueError(f"malformed pin line: {line!r}")
+        pins.append((tuple(argv.split()), kind, value))
+    return pins
+
+
+def check_pin(pin, code, out, err):
+    """Raise AssertionError, naming the argv, when a run's exit code, stdout
+    and stderr break pin; a plain raise, so python -O keeps the check."""
+    argv, kind, value = pin
+    if kind == "sha256":
+        got, want = (code, err, hashlib.sha256(out.encode()).hexdigest()), (0, "", value)
+    elif kind == "last":
+        got, want = (code, out.splitlines()[-1:]), (0, [value])
+    elif kind == "exit":
+        got, want = (code, out), (2, "")
+    else:
+        got, want = (code, out, err), (2, "", f"{value}\n")
+    if got != want:
+        raise AssertionError(f"{' '.join(argv)} | {kind}: got {got!r}, pinned {want!r}")
+
+
+PINS = parse_pins(fixture_lines("cli_pins.txt"))
+
+
+@pytest.mark.parametrize("pin", PINS, ids=lambda pin: f"{' '.join(pin[0])} | {pin[1]}")
+def test_output_matches_its_pin(run_cli, pin):
+    check_pin(pin, *run_cli(*pin[0]))
+
+
+def test_every_subcommand_has_an_exit_0_pin():
+    from collatz_stopping.cli import build_parser
+
+    (commands,) = (a.choices for a in build_parser()._actions if a.dest == "command")
+    assert set(commands) == {argv[0] for argv, kind, _ in PINS if kind in ("sha256", "last")}
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        "sigma 27 | sha265=" + "0" * 64,  # a misspelt kind
+        "sigma 27 last=sigma(27) = 59",  # no " | "
+        "sigma 27 |last=sigma(27) = 59",
+        "sigma 27 | last",  # no "="
+        "sigma 27 --cap 0 | exit=1",
+    ],
+)
+def test_a_malformed_pin_line_raises(line):
+    with pytest.raises(ValueError, match="^malformed pin line: "):
+        parse_pins([line])
+
+
+def test_a_forged_pin_fails_naming_its_argv(run_cli):
+    argv = ("sigma", "27")
+    run = run_cli(*argv)
+    digest = hashlib.sha256(run[1].encode()).hexdigest()
+    check_pin((argv, "sha256", digest), *run)
+    forged = digest[:-1] + ("1" if digest[-1] == "0" else "0")
+    for pin in [(argv, "sha256", forged), (argv, "last", "sigma(27) = 58"), (argv, "exit", "2")]:
+        with pytest.raises(AssertionError, match=f"^sigma 27 \\| {pin[1]}: got "):
+            check_pin(pin, *run)
+
+
+# each of these runs twice in one process: the second call reads the cached
+# levels, classes and orders, and both must match the sha256 pin
+TWICE = [
+    ("residues", "--sigma-index", "14"),
+    ("oeis", "A177789", "--terms", "81117"),
+    ("vset", "14", "--with-solutions"),
+    ("vset", "10", "--format", "dot", "--with-solutions"),
+]
+
+
+@pytest.mark.parametrize("argv", TWICE, ids=" ".join)
 def test_pinned_output_is_unchanged_on_a_second_call(run_cli, argv):
     _cleared_level_cache()
-    runs = []
+    (pin,) = (pin for pin in PINS if pin[:2] == (argv, "sha256"))
     for _ in range(2):
-        code, out, err = run_cli(*argv)
-        runs.append((code, hashlib.sha256(out.encode()).hexdigest(), err))
-    assert runs == [(0, PINS[argv], "")] * 2
+        check_pin(pin, *run_cli(*argv))
 
 
 def test_oeis_refusal_builds_no_level(run_cli):

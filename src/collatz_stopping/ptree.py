@@ -12,15 +12,19 @@ order the construction emits vectors:
 
 Emission order is the contract: per-h ranks p, the candidate-tuple ordering
 and the residue recurrences all refer to it.  One walker, _tree_level,
-applies the steps and keeps each level; every reader here reads it, and
-_walked_classes reads each level's residues off its weighted sums without
-solving each vector and keeps them, sorted once by _ascending.  Every public
-reader refuses levels above MAX_RESIDUE_LEVEL (read per call) before it builds one.
+applies the steps and keeps each level as three byte columns: the weighted
+sums as 8-byte values, and one byte each for the final-1 position and h.
+Every reader here reads it, and _walked_classes reads each level's residues
+off its sums column without solving each vector and keeps them, sorted once
+by _ascending.  Every public reader refuses levels above MAX_RESIDUE_LEVEL
+(read per call) before it builds one.
 """
 
 from __future__ import annotations
 
+import struct
 from functools import lru_cache
+from io import BytesIO
 from itertools import combinations
 from math import comb
 from typing import NamedTuple
@@ -80,32 +84,53 @@ def leading_ones(bits: Bits) -> int:
     return h
 
 
+MAX_TREE_LEVEL = 20  # S <= 2^kappa(n) * (3^(n+1) - 1) / 2 < 2^64 through level 20, not at 21
+
+
 @lru_cache(maxsize=None)
-def _tree_level(n: int) -> tuple[tuple[int, ...], bytes, bytes]:
-    """Level n in emission order: a tuple of each entry's weighted sum S
-    (diophantine's docstring), and bytes of its final-1 position and leading-ones
-    count h (kappa(n) < 256).  Extended from level n-1 once per process; levels
-    1..14 take 3.4 MB, and their cached _walked_classes 2.9 MB more."""
+def _tree_level(n: int) -> tuple[bytes, bytes, bytes]:
+    """Level n in emission order as three byte columns: each entry's weighted
+    sum S (diophantine's docstring) as 8-byte little-endian values, and one
+    byte each for its final-1 position and leading-ones count h (kappa(n) <
+    256).  Extended from level n-1 once per process, WALK_LANES parents at a
+    time: one struct.unpack_from reads their sums, and one struct.pack writes
+    their children's to a BytesIO, whose getvalue() hands its buffer over
+    uncopied, so no level's sums are held as a list of ints or copied whole.
+    Levels 1..14 take 0.83 MB, and their cached _walked_classes 2.9 MB more.
+    Levels above MAX_TREE_LEVEL (read per call), whose S could reach 2^64,
+    are refused before any level is built."""
+    bound = MAX_TREE_LEVEL
+    _refuse_above("tree levels in 8-byte sums are", n, bound, lambda: f"n <= {bound}")
     if n == 1:
-        return (5,), b"\x01", b"\x02"  # the root (1, 1): S = 3 * 2^0 + 2^1
+        return struct.pack("<Q", 5), b"\x01", b"\x02"  # the root (1, 1): S = 3 * 2^0 + 2^1
     top = kappa(n)
     bit = 1 << top
-    sums, ends, heads = [], bytearray(), bytearray()
-    for s, q, h in zip(*_tree_level(n - 1)):  # the parent's final 1 is the child's q
-        s, p = 3 * s + bit, top  # step 1: the final 1 lands at kappa(n)
-        sums.append(s)
-        ends.append(p)
-        heads.append(h)
-        while p - 1 > q:  # step 2: the final 1 moves one place left
-            p -= 1
-            s -= 1 << p
-            if p == h:  # it joins the leading ones
-                h += 1
-            sums.append(s)
-            ends.append(p)
-            heads.append(h)
-        if p == n:  # step 3: ones fill 0..n, so h = n + 1 and the level closes
-            return tuple(sums), bytes(ends), bytes(heads)
+    parent_sums, parent_ends, parent_heads = _tree_level(n - 1)
+    sums, ends, heads = BytesIO(), bytearray(), bytearray()
+    end, head = ends.append, heads.append
+    for start in range(0, len(parent_ends), WALK_LANES):
+        qs, hs = parent_ends[start : start + WALK_LANES], parent_heads[start : start + WALK_LANES]
+        chunk = []
+        add = chunk.append
+        # the parent's final 1 is the child's q
+        for s, q, h in zip(struct.unpack_from(f"<{len(qs)}Q", parent_sums, 8 * start), qs, hs):
+            s, p = 3 * s + bit, top  # step 1: the final 1 lands at kappa(n)
+            add(s)
+            end(p)
+            head(h)
+            while p - 1 > q:  # step 2: the final 1 moves one place left
+                p -= 1
+                s -= 1 << p
+                if p == h:  # it joins the leading ones
+                    h += 1
+                add(s)
+                end(p)
+                head(h)
+            if p == n:  # step 3: ones fill 0..n, so h = n + 1 and the level closes
+                break
+        sums.write(struct.pack(f"<{len(chunk)}Q", *chunk))
+        if p == n:
+            return sums.getvalue(), bytes(ends), bytes(heads)
     raise RuntimeError(f"level {n} did not close on the all-leading-ones vector")
 
 
@@ -133,14 +158,15 @@ def _walked_classes(n: int) -> tuple[int, ...]:
     walked once per process: a tuple cached like _tree_level, so no reader
     can change it.  They are read off the cached level without solving each
     vector: x = -S * 3^-(n+1) (mod 2^sigma_n) for each entry's weighted sum
-    S.  WALK_LANES sums at a time fill 8-byte lanes, cut to S mod 2^sigma_n,
-    and one multiply by -3^-(n+1) mod 2^sigma_n and one mask derive them
-    all, read back by _unpack: for sigma_n <= 32 (n <= 19) no lane's product
-    reaches 2^64, and a deeper level is refused before it is built.  Every x
-    is still walked sigma_n steps and must be a member (solve_vector's
-    predicate), that is, stop exactly at sigma_n: _first_nonmember reads
-    this off _walk's counts, and a non-member raises RuntimeError naming the
-    first offender in emission order.
+    S.  The lanes come straight from the level's sums column, each 8 KB
+    slice WALK_LANES 8-byte lanes in one int.from_bytes, cut to S mod
+    2^sigma_n; one multiply by -3^-(n+1) mod 2^sigma_n and one mask derive
+    them all, read back by _unpack: for sigma_n <= 32 (n <= 19) no lane's
+    product reaches 2^64, and a deeper level is refused before it is built.
+    Every x is still walked sigma_n steps and must be a member (solve_vector's
+    predicate), that is, stop exactly at sigma_n: _first_nonmember reads this
+    off _walk's counts, and a non-member raises RuntimeError naming the first
+    offender in emission order.
     """
     sig, mod, _, inv = _level_constants(n)
     _refuse_above("classes in 8-byte lanes are", sig, 32, lambda: "sigma_n <= 32")
@@ -148,10 +174,10 @@ def _walked_classes(n: int) -> tuple[int, ...]:
     keep = (mod - 1) * _lane_masks(8, WALK_LANES)[0]  # each lane mod 2^sigma_n
     c = -inv % mod
     residues = []
-    for start in range(0, len(sums), WALK_LANES):
-        chunk = sums[start : start + WALK_LANES]
-        lanes = (_pack(chunk, 8) & keep) * c & keep
-        residues += _unpack(lanes, len(chunk), 8)
+    for start in range(0, len(sums), 8 * WALK_LANES):
+        chunk = sums[start : start + 8 * WALK_LANES]
+        lanes = (int.from_bytes(chunk, "little") & keep) * c & keep
+        residues += _unpack(lanes, len(chunk) >> 3, 8)
     if (bad := _first_nonmember(residues, sig)) is not None:
         raise RuntimeError(f"level {n} holds a class {residues[bad]} that is not a member")
     return tuple(residues)
@@ -177,7 +203,9 @@ def _level_solutions(n: int) -> list[tuple[int, int]]:
     """(x, y) of each level-n entry in emission order: x from _level_classes
     and its image y = T^sigma_n(x) = (3^(n+1) * x + S) / 2^sigma_n, exact."""
     sig, _, p3, _ = _level_constants(n)
-    return [(x, (p3 * x + s) >> sig) for x, s in zip(_level_classes(n), _tree_level(n)[0])]
+    sums = _tree_level(n)[0]
+    column = struct.unpack(f"<{len(sums) >> 3}Q", sums)
+    return [(x, (p3 * x + s) >> sig) for x, s in zip(_level_classes(n), column)]
 
 
 @lru_cache(maxsize=None)

@@ -141,7 +141,7 @@ class VerificationReport:
         return not self.mismatches
 
 
-BLOCK_SIZE = 1 << 16  # the fewest integers a worker process is started for
+BLOCK_SIZE = 1 << 21  # the fewest integers a worker process is started for: about break-even
 
 
 def _prediction_table(n_max: int) -> bytearray:
@@ -253,7 +253,7 @@ def verify_range(
     residue mod GROUP_STRIDE per big-integer step, mismatches in ascending
     x.  The serial call and every worker's share run _scan_block(lo, hi,
     n_max): one call, or one contiguous share per worker process, at most
-    min(jobs, ceil(width / BLOCK_SIZE), CPUs) of them; shares merge in
+    min(jobs, width // BLOCK_SIZE, CPUs) of them; shares merge in
     ascending order, so every jobs setting gives one report.
     """
     _refuse_below("x_lo", x_lo, 2)
@@ -262,7 +262,7 @@ def verify_range(
     _refuse_below("jobs", jobs, 1)
     ptree._check_level(n_max)  # before any table is built or process started
     # the pool starts all max_workers processes at the first submit
-    workers = min(jobs, len(range(x_lo, x_hi, BLOCK_SIZE)), os.cpu_count() or 1)
+    workers = min(jobs, (x_hi - x_lo) // BLOCK_SIZE, os.cpu_count() or 1)
     if workers <= 1:
         results = [_scan_block(x_lo, x_hi, n_max)]
     else:

@@ -1,5 +1,6 @@
 """Shared loaders for the vendored golden fixtures, and test-only helpers."""
 
+import struct
 from pathlib import Path
 
 import pytest
@@ -20,6 +21,49 @@ def trailing_zeros(bits: tuple[int, ...]) -> int:
             break
         j += 1
     return j
+
+
+def pack_sums(sums) -> bytes:
+    """Weighted sums as ptree._tree_level keeps them: 8-byte little-endian."""
+    return struct.pack(f"<{len(sums)}Q", *sums)
+
+
+def unpack_sums(column: bytes) -> tuple[int, ...]:
+    """The weighted sums in a column of 8-byte little-endian values."""
+    return struct.unpack(f"<{len(column) // 8}Q", column)
+
+
+def reference_tree_levels(n_max):
+    """Yield levels 1..n_max as the tree walker first kept them: a tuple of
+    each entry's weighted sum S as a Python int, and bytes of its final-1
+    position and h.  An oracle for ptree._tree_level's columns."""
+    from collatz_stopping.ladder import kappa
+
+    level = (5,), b"\x01", b"\x02"  # the root (1, 1): S = 3 * 2^0 + 2^1
+    yield level
+    for n in range(2, n_max + 1):
+        top = kappa(n)
+        bit = 1 << top
+        sums, ends, heads = [], bytearray(), bytearray()
+        for s, q, h in zip(*level):  # the parent's final 1 is the child's q
+            s, p = 3 * s + bit, top  # step 1: the final 1 lands at kappa(n)
+            sums.append(s)
+            ends.append(p)
+            heads.append(h)
+            while p - 1 > q:  # step 2: the final 1 moves one place left
+                p -= 1
+                s -= 1 << p
+                if p == h:  # it joins the leading ones
+                    h += 1
+                sums.append(s)
+                ends.append(p)
+                heads.append(h)
+            if p == n:  # step 3: ones fill 0..n, so h = n + 1 and the level closes
+                break
+        else:
+            raise RuntimeError(f"level {n} did not close on the all-leading-ones vector")
+        level = tuple(sums), bytes(ends), bytes(heads)
+        yield level
 
 
 def forge_level(monkeypatch, n, edit):

@@ -17,8 +17,8 @@ from collatz_stopping.ptree import (
     tree_node_count,
     vset_levels,
 )
-from collatz_stopping.triangle import build_triangle, z_from_triangle
-from conftest import trailing_zeros
+from collatz_stopping.triangle import build_triangle, class_counts, z_from_triangle
+from conftest import pack_sums, reference_tree_levels, trailing_zeros, unpack_sums
 
 
 def reference_extend_level(prev, n):
@@ -67,6 +67,48 @@ def test_walker_equals_the_bit_tuple_oracle_through_level_14():
         assert ends == bytes(len(e.vector) - 1 - e.vector[::-1].index(1) for e in expected)
         assert heads == bytes(e.h for e in expected)
     assert generate_vset(14) == expected
+
+
+def test_columns_equal_the_tuple_walker_through_level_14():
+    from collatz_stopping import ptree
+
+    for n, (sums, ends, heads) in enumerate(reference_tree_levels(14), start=1):
+        columns = ptree._tree_level(n)
+        assert [type(c) for c in columns] == [bytes] * 3
+        # (S, p, h) of every entry, in emission order
+        assert list(zip(unpack_sums(columns[0]), *columns[1:])) == list(zip(sums, ends, heads))
+
+
+def test_a_sums_column_holds_eight_bytes_per_class():
+    from collatz_stopping import ptree
+
+    z = class_counts(14)
+    for n in range(1, 15):
+        assert len(ptree._tree_level(n)[0]) == 8 * z[n - 1]
+    assert sum(len(ptree._tree_level(n)[0]) for n in range(1, 15)) == 648_936
+
+
+def test_levels_past_20_are_refused_before_they_are_built(monkeypatch):
+    from collatz_stopping import ptree
+
+    # the largest sum 2^kappa(n) * (3^(n+1) - 1) / 2 fits 8 bytes at 20, not at 21
+    largest = lambda n: (1 << kappa(n)) * (3 ** (n + 1) - 1) // 2
+    assert largest(20) < 1 << 64 <= largest(21)
+    extend = ptree._tree_level.__wrapped__
+    before = ptree._tree_level.cache_info()
+    refusal = "^tree levels in 8-byte sums are bounded at n <= 20; requested "
+    for n in (21, 40_000):
+        with pytest.raises(ValueError, match=f"{refusal}{n}$"):
+            extend(n)
+    assert ptree._tree_level.cache_info() == before
+
+    def unbuilt(n):
+        raise LookupError(f"level {n} would be built")
+
+    # level 20 passes the refusal and goes on to build its parent
+    monkeypatch.setattr(ptree, "_tree_level", unbuilt)
+    with pytest.raises(LookupError, match="^level 19 would be built$"):
+        extend(20)
 
 
 def test_level_one_is_the_root():
@@ -299,7 +341,8 @@ def test_lane_derived_classes_equal_the_scalar_formula_through_level_14():
 
     for n in range(1, 15):
         _, mod, _, inv = _level_constants(n)
-        assert ptree._level_classes(n) == tuple(-s * inv % mod for s in ptree._tree_level(n)[0])
+        sums = unpack_sums(ptree._tree_level(n)[0])
+        assert ptree._level_classes(n) == tuple(-s * inv % mod for s in sums)
 
 
 def test_a_forged_sum_is_caught_by_the_walk_and_named(monkeypatch):
@@ -309,7 +352,7 @@ def test_a_forged_sum_is_caught_by_the_walk_and_named(monkeypatch):
     n, i, bad = 5, 7, 3  # 3 stops at 4, not at sigma_5 = 10
     _, mod, p3, _ = _level_constants(n)
     sums, ends, heads = ptree._tree_level(n)
-    forged = sums[:i] + ((-bad * p3) % mod,) + sums[i + 1 :]
+    forged = sums[: 8 * i] + pack_sums([(-bad * p3) % mod]) + sums[8 * (i + 1) :]
     real = ptree._tree_level
     monkeypatch.setattr(ptree, "_tree_level", lambda m: (forged, ends, heads) if m == n else real(m))
     ptree._walked_classes.cache_clear()
@@ -345,7 +388,7 @@ def test_level_that_does_not_close_raises(monkeypatch):
 
     extend = ptree._tree_level.__wrapped__
     # level 4 grown from the root: its one chain stops with the final 1 at 2, not 4
-    monkeypatch.setattr(ptree, "_tree_level", lambda n: ((5,), (1,), (2,)))
+    monkeypatch.setattr(ptree, "_tree_level", lambda n: (pack_sums([5]), b"\x01", b"\x02"))
     with pytest.raises(RuntimeError, match="^level 4 did not close on the all-leading-ones vector$"):
         extend(4)
     # the oracle refuses the same parent level

@@ -20,7 +20,7 @@ from collatz_stopping.verify import (
     sieve,
     verify_range,
 )
-from conftest import forge_level
+from conftest import forge_level, pack_sums, unpack_sums
 
 
 def reference_level_residues(n):
@@ -584,10 +584,10 @@ def test_the_stream_walks_every_class(monkeypatch):
     level = ptree._tree_level
     for n, where in cases:
         strays = [v for v in lex_tuples(n) if not solve_vector(v).member][: len(where)]
-        sums = list(level(n)[0])
+        sums = list(unpack_sums(level(n)[0]))
         for i, v in zip(where, strays):
             sums[i] = diophantine._weighted_sum(v)
-        forged = lambda m, n=n, sums=tuple(sums): (sums, *level(m)[1:]) if m == n else level(m)
+        forged = lambda m, n=n, sums=pack_sums(sums): (sums, *level(m)[1:]) if m == n else level(m)
         first = solve_vector(strays[where.index(min(where))]).x
         refusal = rf"^level {n} holds a class {first} that is not a member$"
         ptree._walked_classes.cache_clear()
@@ -760,7 +760,8 @@ def test_a_level_that_never_closes_is_refused(monkeypatch):
     level = ptree._tree_level
     level.cache_clear()
     ptree._walked_classes.cache_clear()
-    monkeypatch.setattr(ptree, "_tree_level", lambda n: ((5,), (1,), (2,)) if n == 2 else level(n))
+    root = pack_sums([5]), b"\x01", b"\x02"
+    monkeypatch.setattr(ptree, "_tree_level", lambda n: root if n == 2 else level(n))
     with pytest.raises(RuntimeError, match="^level 3 did not close on the all-leading-ones vector$"):
         level_residues(3)
 

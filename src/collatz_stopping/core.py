@@ -94,7 +94,7 @@ def forward_map(r: int, k: int) -> tuple[int, int]:
     return q, sum(t & 1 for t in head)
 
 
-WALK_LANES = 1024  # lanes per packed int: 5 KB walking sigma_14, 8 KB scanning near 2^48
+WALK_LANES = 1024  # lanes per packed int: 8 KB walking a level's classes or scanning near 2^48
 
 
 def _lane_masks(size: int, lanes: int) -> tuple[int, int]:
@@ -120,17 +120,10 @@ def _pack(xs, size: int) -> int:
     return int.from_bytes(out, "little")
 
 
-def _unpack(lanes: int, count: int, size: int) -> list[int]:
-    """The count ints in the size-byte lanes of lanes, size <= 8: _pack's
-    inverse, one slice per lane byte into 8-byte lanes, then one
-    struct.unpack.  A value past the count lanes raises OverflowError."""
-    raw = lanes.to_bytes(count * size, "little")
-    if size < 8:
-        out = bytearray(8 * count)
-        for j in range(size):
-            out[j::8] = raw[j::size]
-        raw = out
-    return list(struct.unpack(f"<{count}Q", raw))
+def _unpack(lanes: int, count: int) -> list[int]:
+    """The count ints in the 8-byte lanes of lanes, _pack's inverse at size 8.
+    A value past the count lanes raises OverflowError."""
+    return list(struct.unpack(f"<{count}Q", lanes.to_bytes(8 * count, "little")))
 
 
 def _step(t: int, low: int, w: int) -> int:

@@ -14,10 +14,10 @@ Emission order is the contract: per-h ranks p, the candidate-tuple ordering
 and the residue recurrences all refer to it.  One walker, _tree_level,
 applies the steps and keeps each level as three byte columns: the weighted
 sums as 8-byte values, and one byte each for the final-1 position and h.
-Every reader here reads it, and _walked_classes reads each level's residues
-off its sums column without solving each vector and keeps them, sorted once
-by _ascending.  Every public reader refuses levels above MAX_RESIDUE_LEVEL
-(read per call) before it builds one.
+Every reader here reads it, and _walked_classes derives each level's
+residues from its sums column, without solving each vector, into a column of
+8-byte values like it, sorted once by _ascending.  Every public reader
+refuses levels above MAX_RESIDUE_LEVEL (read per call) before it builds one.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from math import comb
 from typing import NamedTuple
 
 from . import ladder
-from .core import WALK_LANES, Bits, _lane_bytes, _lane_masks, _pack, _unpack, _walk
+from .core import WALK_LANES, Bits, _lane_masks, _walk
 from .diophantine import _level_constants, solve_vector
 from .ladder import _refuse_above, _refuse_below, kappa
 from .triangle import class_counts
@@ -96,7 +96,7 @@ def _tree_level(n: int) -> tuple[bytes, bytes, bytes]:
     time: one struct.unpack_from reads their sums, and one struct.pack writes
     their children's to a BytesIO, whose getvalue() hands its buffer over
     uncopied, so no level's sums are held as a list of ints or copied whole.
-    Levels 1..14 take 0.83 MB, and their cached _walked_classes 2.9 MB more.
+    Levels 1..14 take 0.83 MB, and their cached _walked_classes 0.65 MB more.
     Levels above MAX_TREE_LEVEL (read per call), whose S could reach 2^64,
     are refused before any level is built."""
     bound = MAX_TREE_LEVEL
@@ -134,91 +134,97 @@ def _tree_level(n: int) -> tuple[bytes, bytes, bytes]:
     raise RuntimeError(f"level {n} did not close on the all-leading-ones vector")
 
 
-def _first_nonmember(xs: list[int], sig: int) -> int | None:
-    """Index of the first x in xs (each 0 <= x < 2^sig) that is not a member
-    at sig, or None: a member has T^sig(x) < x <= min(T^0 .. T^(sig-1)), so
-    it stops exactly at sig and _walk counts sig - 1 in its lane.  Every x is
-    walked, WALK_LANES at a time in W-bit lanes, W = _lane_bytes(sig, 2^sig).
-    """
-    size = _lane_bytes(sig, 1 << sig)
-    w = 8 * size
-    for start in range(0, len(xs), WALK_LANES):
-        chunk = xs[start : start + WALK_LANES]
-        ones, guard = _lane_masks(size, len(chunk))
-        steps, full, _ = _walk(_pack(chunk, size), ones, guard, w, sig)
-        if steps or full != sig - 1:  # not every lane counted sig - 1
-            bad = (steps + full * ones) ^ (sig - 1) * ones
-            return start + ((bad & -bad).bit_length() - 1) // w
-    return None
+def _first_nonmember(lanes: int, count: int, sig: int) -> int | None:
+    """Index of the first of the count 8-byte lanes of lanes (each x < 2^sig,
+    sig <= 39, so _lane_bytes(sig, 2^sig) <= 8) that is not a member at sig,
+    or None: a member has T^sig(x) < x <= min(T^0 .. T^(sig-1)), so it
+    stops exactly at sig and _walk counts sig - 1 in its lane."""
+    ones, guard = _lane_masks(8, count)
+    steps, full, _ = _walk(lanes, ones, guard, 64, sig)
+    bad = (steps + full * ones) ^ (sig - 1) * ones  # lanes that did not count sig - 1
+    return ((bad & -bad).bit_length() - 1) >> 6 if bad else None
 
 
 @lru_cache(maxsize=None)
-def _walked_classes(n: int) -> tuple[int, ...]:
-    """Level n's residues (mod 2^sigma_n) in emission order, derived and
-    walked once per process: a tuple cached like _tree_level, so no reader
-    can change it.  They are read off the cached level without solving each
-    vector: x = -S * 3^-(n+1) (mod 2^sigma_n) for each entry's weighted sum
-    S.  The lanes come straight from the level's sums column, each 8 KB
-    slice WALK_LANES 8-byte lanes in one int.from_bytes, cut to S mod
-    2^sigma_n; one multiply by -3^-(n+1) mod 2^sigma_n and one mask derive
-    them all, read back by _unpack: for sigma_n <= 32 (n <= 19) no lane's
-    product reaches 2^64, and a deeper level is refused before it is built.
-    Every x is still walked sigma_n steps and must be a member (solve_vector's
-    predicate), that is, stop exactly at sigma_n: _first_nonmember reads this
-    off _walk's counts, and a non-member raises RuntimeError naming the first
-    offender in emission order.
+def _walked_classes(n: int) -> bytes:
+    """Level n's residues (mod 2^sigma_n) in emission order as a column of
+    8-byte little-endian values like its sums, derived and walked once per
+    process and cached like _tree_level.  No vector is solved: x = -S *
+    3^-(n+1) (mod 2^sigma_n) for each entry's weighted sum S.  Each 8 KB
+    slice of the sums column is WALK_LANES 8-byte lanes in one
+    int.from_bytes, cut to S mod 2^sigma_n; one multiply by -3^-(n+1) mod
+    2^sigma_n and one mask derive them all: for sigma_n <= 32 (n <= 19) no
+    lane's product reaches 2^64, and a deeper level is refused before it is
+    built.  The lanes are then walked in place (_lane_bytes(32, 2^32) = 7)
+    and written with one to_bytes: every x must be a member (solve_vector's
+    predicate), stopping exactly at sigma_n, or RuntimeError names the first
+    offender in emission order (_first_nonmember).
     """
     sig, mod, _, inv = _level_constants(n)
     _refuse_above("classes in 8-byte lanes are", sig, 32, lambda: "sigma_n <= 32")
     sums = _tree_level(n)[0]
     keep = (mod - 1) * _lane_masks(8, WALK_LANES)[0]  # each lane mod 2^sigma_n
     c = -inv % mod
-    residues = []
+    column = BytesIO()
     for start in range(0, len(sums), 8 * WALK_LANES):
         chunk = sums[start : start + 8 * WALK_LANES]
         lanes = (int.from_bytes(chunk, "little") & keep) * c & keep
-        residues += _unpack(lanes, len(chunk) >> 3, 8)
-    if (bad := _first_nonmember(residues, sig)) is not None:
-        raise RuntimeError(f"level {n} holds a class {residues[bad]} that is not a member")
-    return tuple(residues)
+        if (bad := _first_nonmember(lanes, len(chunk) >> 3, sig)) is not None:
+            x = (lanes >> 64 * bad) & (mod - 1)
+            raise RuntimeError(f"level {n} holds a class {x} that is not a member")
+        column.write(lanes.to_bytes(len(chunk), "little"))
+    return column.getvalue()
 
 
-def _level_classes(n: int) -> tuple[int, ...]:
-    """Level n's residues in emission order: the tuple _walked_classes
+def _ints(column: bytes) -> list[int]:
+    """The 8-byte little-endian values of a column, as ints, unpacked 8 KB at
+    a time, so that no tuple of a whole column is held beside the list."""
+    ints = []
+    for start in range(0, len(column), 8 * WALK_LANES):
+        chunk = column[start : start + 8 * WALK_LANES]
+        ints += struct.unpack(f"<{len(chunk) >> 3}Q", chunk)
+    return ints
+
+
+def _level_classes(n: int) -> bytes:
+    """Level n's residues in emission order: the column _walked_classes
     derives and walks once per process, certified on every call.  The
     solved closing vector must be a member equal to the level's last
     residue, or RuntimeError; this one solve per level per call stays
     outside the cache."""
-    residues = _walked_classes(n)
+    column = _walked_classes(n)
+    last = int.from_bytes(column[-8:], "little")
     closing = solve_vector((1,) * (n + 1) + (0,) * (kappa(n) - n))
-    if not closing.member or closing.x != residues[-1]:
+    if not closing.member or closing.x != last:
         raise RuntimeError(
-            f"level {n} closes on {residues[-1]}, but its vector solves to {closing.x}"
+            f"level {n} closes on {last}, but its vector solves to {closing.x}"
             + ("" if closing.member else ", which is not a member")
         )
-    return residues
+    return column
 
 
 def _level_solutions(n: int) -> list[tuple[int, int]]:
     """(x, y) of each level-n entry in emission order: x from _level_classes
     and its image y = T^sigma_n(x) = (3^(n+1) * x + S) / 2^sigma_n, exact."""
     sig, _, p3, _ = _level_constants(n)
-    sums = _tree_level(n)[0]
-    column = struct.unpack(f"<{len(sums) >> 3}Q", sums)
-    return [(x, (p3 * x + s) >> sig) for x, s in zip(_level_classes(n), column)]
+    xs, sums = _ints(_level_classes(n)), _ints(_tree_level(n)[0])
+    return [(x, (p3 * x + s) >> sig) for x, s in zip(xs, sums)]
 
 
 @lru_cache(maxsize=None)
-def _ascending(classes: tuple[int, ...]) -> tuple[int, ...]:
-    """classes sorted, once per distinct tuple: a forged class list is a new key."""
-    return tuple(sorted(classes))
+def _ascending(column: bytes) -> tuple[int, ...]:
+    """A class column's values sorted, once per distinct column: bytes cache
+    their hash, and a forged class column is a new key."""
+    xs = _ints(column)
+    xs.sort()
+    return tuple(xs)
 
 
 def level_residues(n: int) -> tuple[int, ...]:
     """Ascending residues (mod 2^sigma_n) of the level-n classes: _level_classes(n),
     certified on every call, walked and sorted (_ascending) once per process."""
     _check_level(n)
-    return _ascending(tuple(_level_classes(n)))
+    return _ascending(_level_classes(n))
 
 
 def _entry_levels(n_max: int):
@@ -332,7 +338,7 @@ def export_tree(n: int, *, with_solutions: bool = False) -> str:
     levels = list(_entry_levels(n))
     for level, entries in enumerate(levels, start=1):
         lines.append(f"  {{ rank=same; /* level {level} */")
-        xs = _level_classes(level) if with_solutions else None
+        xs = _ints(_level_classes(level)) if with_solutions else None
         for i, entry in enumerate(entries):
             label = f"({_bits_str(entry.vector)})"
             if xs:

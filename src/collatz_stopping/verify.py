@@ -56,7 +56,7 @@ def _double(rs: list[int], qs: list[int], ns: bytes, half: int, pow3: list[int])
         ones = _lane_masks(8, len(chunk))[0]
         t = _pack(chunk, 8)
         odd += (t & ones).to_bytes(8 * len(chunk), "little")[::8]
-        stepped += _unpack(_step(t, ones, 64), len(chunk), 8)
+        stepped += _unpack(_step(t, ones, 64), len(chunk))
     ns = int.from_bytes(ns + ns, "little") + int.from_bytes(odd, "little")
     return rs + list(map(add, rs, repeat(half))), stepped, ns.to_bytes(len(qs), "little")
 

@@ -74,7 +74,7 @@ def forge_level(monkeypatch, n, edit):
 
     def forged(level):
         residues = classes(level)
-        return sorted(edit(set(residues))) if level == n else residues
+        return pack_sums(sorted(edit(set(unpack_sums(residues))))) if level == n else residues
 
     monkeypatch.setattr(ptree, "_level_classes", forged)
 

@@ -2,8 +2,10 @@
 process, whichever readers ask."""
 
 from collatz_stopping import ptree
+from collatz_stopping.core import WALK_LANES
 from collatz_stopping.ladder import sigma_n
 from collatz_stopping.ptree import export_tree, generate_vset, level_residues, phn_counts, vset_levels
+from collatz_stopping.triangle import class_counts
 from collatz_stopping.verify import residue_table, verify_range
 from conftest import forge_level
 
@@ -33,7 +35,7 @@ def test_each_levels_classes_are_walked_once_per_process(monkeypatch):
     ptree._walked_classes.cache_clear()
     walked = []
     walk = ptree._first_nonmember
-    spy = lambda xs, sig: walked.append(sig) or walk(xs, sig)
+    spy = lambda lanes, count, sig: walked.append((sig, count)) or walk(lanes, count, sig)
     monkeypatch.setattr(ptree, "_first_nonmember", spy)
     residue_table(10)
     verify_range(2, 4096, 10)
@@ -41,14 +43,16 @@ def test_each_levels_classes_are_walked_once_per_process(monkeypatch):
     level_residues(10)
     ptree._level_solutions(10)
     export_tree(6, with_solutions=True)
-    # one sigma_n-step walk per level 1..10, in the order residue_table reads them
-    assert walked == [sigma_n(n) for n in range(1, 11)]
+    # one sigma_n-step walk of each level 1..10's classes, in the order
+    # residue_table reads them; each level fits one chunk of WALK_LANES
+    assert max(class_counts(10)) <= WALK_LANES
+    assert walked == [(sigma_n(n), z) for n, z in enumerate(class_counts(10), start=1)]
 
 
-def test_the_cached_classes_are_a_tuple_equal_to_a_fresh_derivation():
-    for n in range(1, 15):
+def test_the_cached_classes_are_a_column_equal_to_a_fresh_derivation():
+    for n, z in enumerate(class_counts(14), start=1):
         cached = ptree._walked_classes(n)
-        assert type(cached) is tuple
+        assert type(cached) is bytes and len(cached) == 8 * z
         assert cached == ptree._walked_classes.__wrapped__(n)
         assert ptree._level_classes(n) is cached
 

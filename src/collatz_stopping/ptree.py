@@ -16,8 +16,10 @@ applies the steps and keeps each level as three byte columns: the weighted
 sums as 8-byte values, and one byte each for the final-1 position and h.
 Every reader here reads it, and _walked_classes derives each level's
 residues from its sums column, without solving each vector, into a column of
-8-byte values like it, sorted once by _ascending.  Every public reader
-refuses levels above MAX_RESIDUE_LEVEL (read per call) before it builds one.
+8-byte values like it, sorted once by _ascending.  Each level's h histogram
+is counted once per process by _h_counts, keyed on its heads column.  Every
+public reader refuses levels above MAX_RESIDUE_LEVEL (read per call) before
+it builds one.
 """
 
 from __future__ import annotations
@@ -271,11 +273,19 @@ def generate_vset(n: int) -> list[VSetEntry]:
     return level
 
 
+@lru_cache(maxsize=None)
+def _h_counts(heads: bytes) -> tuple[tuple[int, int], ...]:
+    """A heads column's (h, count) pairs in ascending h, one bytes.count per
+    h in 2..max(heads), once per distinct column like _ascending."""
+    return tuple((h, c) for h in range(2, max(heads) + 1) if (c := heads.count(h)))
+
+
 def phn_counts(n: int) -> dict[int, int]:
-    """Histogram of leading-ones counts h (2..n+1) in level n's byte column."""
+    """Histogram of leading-ones counts h (2..n+1) in level n's heads column,
+    ascending in h: counted once per process (_h_counts, keyed on the column,
+    so a forged column is counted afresh), copied into a new dict per call."""
     _check_level(n)
-    heads = _tree_level(n)[2]
-    return {h: c for h in range(2, n + 2) if (c := heads.count(h))}
+    return dict(_h_counts(_tree_level(n)[2]))
 
 
 def ln_count(n: int) -> int:

@@ -1,8 +1,8 @@
 """Every bounded public entry point refuses an oversized request up front,
 where it allocates: with a ValueError, quickly, before it builds a tree level
-and without rolling triangle rows beyond the sizes its refusal states.  Every
-parameter with a least value refuses one below it, in ladder._refuse_below's
-words."""
+or touches any per-process level cache, and without rolling triangle rows
+beyond the sizes its refusal states.  Every parameter with a least value
+refuses one below it, in ladder._refuse_below's words."""
 
 import time
 from unittest import mock
@@ -48,14 +48,15 @@ def _refuses_up_front(name, request):
     rolled = []
     rows = triangle._rows
     spy = lambda max_n: rolled.append(max_n) or rows(max_n)
-    before = ptree._tree_level.cache_info()
+    caches = (ptree._tree_level, ptree._walked_classes, ptree._ascending, ptree._h_counts)
+    before = [cache.cache_info() for cache in caches]
     with mock.patch.object(triangle, "_rows", spy):
         t0 = time.perf_counter()
         with pytest.raises(ValueError, match=f"bounded at .*; requested {request}$"):
             call(request)
         elapsed = time.perf_counter() - t0
     assert elapsed < 0.1
-    assert ptree._tree_level.cache_info() == before
+    assert [cache.cache_info() for cache in caches] == before
     assert all(max_n <= deepest for max_n in rolled)
 
 

@@ -1,5 +1,5 @@
-"""Each tree level is extended, and its classes walked and sorted, once per
-process, whichever readers ask."""
+"""Each tree level is extended, its classes walked and sorted, and its h
+histogram counted, once per process, whichever readers ask."""
 
 from collatz_stopping import ptree
 from collatz_stopping.core import WALK_LANES
@@ -86,3 +86,31 @@ def test_a_forged_level_is_sorted_afresh_past_a_warm_memo(monkeypatch):
     assert residue_table(4)[3].residues == (11,)
     report = verify_range(2, 200, 4)
     assert report.mismatches == tuple((x, None, 5) for x in range(23, 200, 32))
+
+
+def test_each_levels_h_histogram_is_counted_once_per_process():
+    for cache in (ptree._tree_level, ptree._walked_classes, ptree._ascending, ptree._h_counts):
+        cache.cache_clear()
+    residue_table(12)
+    first = [phn_counts(n) for n in range(1, 13)]
+    again = [phn_counts(n) for n in range(1, 13)]
+    # one count per level 1..12, keyed on its heads column
+    info = ptree._h_counts.cache_info()
+    assert info.misses == info.currsize == 12
+    for n, (d, e) in enumerate(zip(first, again), start=1):
+        assert d == e and d is not e
+        assert list(d) == sorted(d) == list(range(2, n + 2))
+    # a caller's edit stays in its own dict
+    first[5][2] = 0
+    assert phn_counts(6) == again[5] == {2: 7, 3: 7, 4: 7, 5: 5, 6: 3, 7: 1}
+
+
+def test_a_forged_heads_column_is_counted_afresh_past_a_warm_memo(monkeypatch):
+    true = phn_counts(6)
+    sums, ends, heads = ptree._tree_level(6)
+    forged = bytes([7]) + heads[1:]  # the first entry (h = 2) claims h = 7
+    level = ptree._tree_level
+    with monkeypatch.context() as patch:
+        patch.setattr(ptree, "_tree_level", lambda n: (sums, ends, forged) if n == 6 else level(n))
+        assert phn_counts(6) == {**true, 2: 6, 7: 2}
+    assert phn_counts(6) == true

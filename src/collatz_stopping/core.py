@@ -147,15 +147,17 @@ def _lane_bytes(steps: int, hi: int) -> int:
     return ((3**steps * hi >> (steps - 1)).bit_length() + 7) >> 3
 
 
-def _walk(x: int, ones: int, guard: int, w: int, budget: int) -> tuple[int, int, int]:
-    """(steps, full, walked) over the W-bit lanes of x (ones, guard:
-    _lane_masks): steps + full * ones holds in each lane the j in 1..budget
-    with T^j(x) >= x before its stop s, s - 1 or budget if none; walked is
-    the last stop, or budget.  steps == 0 exactly when every lane stopped at
-    one step or none stopped: then every lane counts full, walked - 1 or
-    budget.  As t < 2^(W-1), a lane of t + (guard - x) keeps its guard bit
-    exactly where t >= x.  Until a lane stops, one scalar counts for all."""
-    t, live, below, steps, full = x, guard, guard - x, 0, 0
+def _walk(t: int, x: int, ones: int, guard: int, w: int, budget: int) -> tuple[int, int, int]:
+    """(steps, full, walked) over the W-bit lanes of t (ones, guard:
+    _lane_masks), each lane T^k of x's for one k, with no lane below its x
+    at steps 1..k (k = 0: t = x).  steps + full * ones holds in each lane
+    the j in 1..budget with T^(k+j)(x) >= x before its stop k + s, s - 1
+    or budget if none; walked is the last s, or budget.  steps == 0 exactly
+    when every lane stopped at one step or none stopped: then every lane
+    counts full, walked - 1 or budget.  As t < 2^(W-1), a lane of t +
+    (guard - x) keeps its guard bit exactly where t >= x.  Until a lane
+    stops, one scalar counts for all."""
+    live, below, steps, full = guard, guard - x, 0, 0
     for walked in range(1, budget + 1):
         t = _step(t, ones, w)
         live &= t + below  # guard kept while t >= x

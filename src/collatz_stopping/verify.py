@@ -6,7 +6,8 @@ level_residues) with the two trivial classes, turned into one byte per
 residue.  Neither route derives its classes from the tree or the triangle
 recurrence, so the three routes can be checked against each other.  Both
 run on core's lane engine: the sieve steps each depth's children with
-_step, and the scan reads each integer's stopping time off _walk.
+_step, and the scan reads each integer's stopping time off _walk, from
+step 8 for a group of lanes that no lane has left by then.
 """
 
 from __future__ import annotations
@@ -176,20 +177,26 @@ def _scan_block(lo: int, hi: int, n_max: int) -> tuple:
     [lo, hi) is cut at multiples of GROUP_STRIDE * WALK_LANES into chunks,
     and a table shorter than a chunk is repeated to one, so no group's
     stepped table slice wraps.  In a chunk, group x0 holds x0 + i *
-    GROUP_STRIDE, packed into one int of W-bit lanes (W = _lane_bytes(budget,
-    hi)) as x0 * low + index, or as the last group's int + low when the
-    lane count holds, and walked by _walk until every lane has stopped or
-    the budget, one step past the table's last sigma, is spent.  Its lanes
-    share their first 8 parities, so a group whose residue stops early
-    stops together and is read off _walk's full alone; otherwise byte 0 of
-    each lane counts the steps it stayed at or above x, its stopping time
-    less one.  The simulated times are compared with the group's table
+    GROUP_STRIDE, sharing 8 parities: for j <= 8, T^j of lane i is t + i *
+    c, t = T^j(x0) and c = 3^m * 2^(8-j) (forward_map), so its stop test t -
+    x0 < i * (GROUP_STRIDE - c) is linear in i, and the lanes stopped at j
+    form a run holding an end lane.  Up to min(8, budget - 1) steps, the
+    budget one past the table's last sigma, are walked on x0 alone, while
+    neither end lane has stopped, so no lane has; p is the last such step.
+    If both end lanes first stop at p + 1, every lane does: the group is
+    read off p + 1.  Otherwise _walk takes the last budget - p steps from
+    T^p = t * low + index // 2^8 * c, in W-bit lanes (W = _lane_bytes(budget,
+    hi)): p = min(8, budget - 1) unless the end lanes part, as at x0 = 1,
+    whose lane 257 stops at step 2 while 1 never does (p = 1).  Byte 0 of
+    each lane's count is the steps it stayed at or above x, its stopping
+    time less one.  The simulated times are compared with the group's table
     bytes and counted in C; only a group that differs is looked at lane by
-    lane.  Beyond the table, memory is one group's int, about 8 KB near
-    hi = 2^48, whatever the range's width.
+    lane.  Beyond the table, memory is one group's int, about 8 KB near hi
+    = 2^48, whatever the range's width.
     """
     budget = sigma_n(n_max) + 1
     stride = GROUP_STRIDE
+    prefix = min(stride.bit_length() - 1, budget - 1)  # shared steps, walked on x0 alone
     span = stride * WALK_LANES
     table = _prediction_table(n_max)
     table *= max(1, span // len(table))  # only n_max <= 9 is shorter than a chunk
@@ -209,13 +216,25 @@ def _scan_block(lo: int, hi: int, n_max: int) -> tuple:
         prev = 0  # the last group's lane count
         for x0 in range(first, min(end, first + stride)):
             n = len(range(x0, end, stride))
-            if n == prev:  # each lane one past the last group's
-                x += ones
-            else:  # a chunk's first group, or the first with one lane fewer
+            if n != prev:  # a chunk's first group, or the first with one lane fewer
                 cut = (1 << (w * n)) - 1
-                ones, base, guard = low & cut, index & cut, top & cut
-                x, prev = x0 * ones + base, n
-            steps, full, walked = _walk(x, ones, guard, w, budget)
+                ones, base, guard, prev = low & cut, index & cut, top & cut, n
+                lane = base // stride  # i in lane i
+            # lane i's T^j is t + i * c for j <= prefix, and stops where
+            # t - x0 < i * (stride - c): a run of lanes holding an end lane
+            t, c, p = x0, stride, 0
+            for j in range(1, prefix + 1):
+                u, d = ((3 * t + 1) >> 1, 3 * c >> 1) if t & 1 else (t >> 1, c >> 1)
+                head, tail = u < x0, u - x0 < (n - 1) * (stride - d)
+                if head or tail:
+                    break
+                t, c, p = u, d, j
+            if head and tail:  # both end lanes stop first at p + 1, so every lane does
+                steps, full, walked = 0, p, p + 1
+            else:  # no lane has stopped by p
+                t, x = t * ones + lane * c, x0 * ones + base
+                steps, full, walked = _walk(t, x, ones, guard, w, budget - p)
+                full, walked = full + p, walked + p
             if steps:
                 raw = (steps + full * ones).to_bytes(n * size, "little")[::size]
                 sims = raw.translate(stopped)
@@ -249,12 +268,16 @@ def verify_range(
     Simulation runs with budget sigma_n(n_max) + 1; x that do not stop within
     the table horizon are counted as beyond_table, not as mismatches (they
     must then lie in no class at all).  Every x is simulated and compared with
-    its table byte by _scan_block's lane walk: WALK_LANES integers of one
-    residue mod GROUP_STRIDE per big-integer step, mismatches in ascending
-    x.  The serial call and every worker's share run _scan_block(lo, hi,
-    n_max): one call, or one contiguous share per worker process, at most
-    min(jobs, width // BLOCK_SIZE, CPUs) of them; shares merge in
-    ascending order, so every jobs setting gives one report.
+    its table byte by _scan_block: a group of WALK_LANES integers of one
+    residue mod GROUP_STRIDE shares 8 steps, walked on its first integer;
+    its lanes stopped at one of them form a run holding an end lane, so a
+    group is lane-walked, one big-integer step at a time, only from the
+    last of them at which neither end lane has stopped, step 8 unless the
+    end lanes part; mismatches come in ascending x.  The serial call and
+    every worker's share run _scan_block(lo, hi, n_max): one call, or one
+    contiguous share per worker process, at most min(jobs, width //
+    BLOCK_SIZE, CPUs) of them; shares merge in ascending order, so every
+    jobs setting gives one report.
     """
     _refuse_below("x_lo", x_lo, 2)
     if x_hi < x_lo:

@@ -227,6 +227,9 @@ def test_check_corollary3_delta_examples():
     assert check_corollary3_delta(7, 15, 3, 1) == (1, True)
     assert check_corollary3_delta(175, 95, 4, 2) == (-5, True)
     assert check_corollary3_delta(815, 367, 5, 1) == (-7, True)
+    # quotients that agree with the rule mod 4 but not mod 8: read mod 4, both would pass
+    assert check_corollary3_delta(7, 47, 3, 1) == (5, False)
+    assert check_corollary3_delta(175, 287, 4, 2) == (7, False)
 
 
 def test_check_corollary3_delta_rejects_non_pairs():

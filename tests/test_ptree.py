@@ -79,6 +79,20 @@ def test_columns_equal_the_tuple_walker_through_level_14():
         assert list(zip(unpack_sums(columns[0]), *columns[1:])) == list(zip(sums, ends, heads))
 
 
+def test_heads_of_levels_15_and_16_equal_the_tuple_walker():
+    from collatz_stopping import ptree
+
+    # past the level-14 checks: elsewhere levels 15 and 16 are checked by
+    # size alone, which a wrong h leaves as it is.  No other test needs them
+    # held, so the level cache is emptied after
+    try:
+        for n, (_, ends, heads) in enumerate(reference_tree_levels(16), start=1):
+            if n >= 15:
+                assert ptree._tree_level(n)[1:] == (ends, heads)
+    finally:
+        ptree._tree_level.cache_clear()
+
+
 def test_a_sums_column_holds_eight_bytes_per_class():
     from collatz_stopping import ptree
 

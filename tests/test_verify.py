@@ -388,10 +388,15 @@ NINE_BYTE_HI = -(-(1 << 63) // 3**17) << 17
         (NINE_BYTE_HI - 3000, 3000, 9),
         ((3 << 18) - 700, 2000, 9),
         ((1 << 44) + 129, 3100, 1),
+        (2, CHUNK - 2, 12),
+        ((1 << 40) + 77, CHUNK, 12),
+        ((1 << 36) + 5, CHUNK, 4),
+        ((1 << 44) + 201, CHUNK, 3),
     ],
     ids=["wider-than-a-chunk", "table-shorter-than-stride", "from-2", "lanes-past-64-bits",
          "lanes-past-the-table-end", "empty", "first-nine-byte-lanes", "into-the-next-chunk",
-         "groups-that-never-stop"],
+         "groups-that-never-stop", "full-chunk-from-2", "full-chunk-from-step-8",
+         "full-chunk-budget-9", "full-chunk-budget-8"],
 )
 def test_scan_edges_agree_with_the_reference_scan(lo, width, n_max):
     # past the Hypothesis widths: a chunk that the range enters off its first
@@ -402,8 +407,53 @@ def test_scan_edges_agree_with_the_reference_scan(lo, width, n_max):
     # past its chunk's first stride and that runs into the next chunk; and
     # at n_max 1 (budget 5) groups such as x = 255 (mod 256), whose lanes
     # share more steps at or above x than the budget: none stops, all are
-    # beyond the table
+    # beyond the table.  Then whole chunks of 1024-lane groups: from 2, whose
+    # first lanes are the smallest x a report takes; near 2^40, where a group
+    # that no lane has left is walked from step 8; and at budgets 9 and 8,
+    # where such a group is walked from step 8, or from step 7, for its last
+    # step
     assert verify_range(lo, lo + width, n_max) == reference_report(lo, lo + width, n_max)
+
+
+def walk_spy(monkeypatch):
+    """The (x, t, budget) of each verify._walk call, x and t read off lane 0."""
+    from collatz_stopping import verify
+
+    walk, calls = verify._walk, []
+
+    def spy(t, x, ones, guard, w, budget):
+        lane = (1 << w) - 1
+        calls.append((x & lane, t & lane, budget))
+        return walk(t, x, ones, guard, w, budget)
+
+    monkeypatch.setattr(verify, "_walk", spy)
+    return calls
+
+
+def test_only_groups_unstopped_at_step_8_are_walked_from_there(monkeypatch):
+    # a group's lanes x0 + i * 256 share 8 steps: one whose first lane
+    # stops by then stops as a whole, with no lane walk
+    calls = walk_spy(monkeypatch)
+    lo, n_max = 1 << 40, 9
+    report = verify_range(lo, lo + (1 << 17), n_max)
+    assert report.ok
+    walks = [reference_trajectory(x0, 8) for x0 in range(lo, lo + GROUP_STRIDE)]
+    unstopped = [(w[0], w[8]) for w in walks if min(w) >= w[0]]
+    assert len(unstopped) == 19
+    assert calls == [(x0, t, sigma_n(n_max) + 1 - 8) for x0, t in unstopped]
+
+
+def test_a_group_whose_lanes_part_is_walked_from_the_step_before(monkeypatch):
+    from collatz_stopping import verify
+
+    # x = 1 never drops below itself, while 257 stops at step 2: the group's
+    # end lanes part there, so no lane has stopped by step 1, and the group
+    # is walked from T(1) = 2 with one step less
+    calls = walk_spy(monkeypatch)
+    counts, mismatches = verify._scan_block(1, 3000, 9)
+    assert (counts, mismatches) == reference_scan(1, 3000, reference_classes(9))
+    assert mismatches[0] == (1, 2, None)
+    assert calls[0] == (1, 2, sigma_n(9))
 
 
 def test_nine_byte_hi_is_where_the_scan_lanes_widen():
@@ -726,27 +776,41 @@ def reference_count(x, budget):
 @given(
     data=st.data(),
     budget=st.integers(1, 40),
-    case=st.sampled_from(["drawn", "all-even", "no-stop", "shared-prefix"]),
+    case=st.sampled_from(["drawn", "all-even", "no-stop", "shared-prefix", "from-T^k"]),
 )
 def test_walk_counts_every_lane_like_the_reference_trajectory(data, budget, case):
     from collatz_stopping import core
 
     lanes = data.draw(st.integers(1, 40))
     draw = lambda lo, top: data.draw(st.lists(st.integers(lo, top), min_size=lanes, max_size=lanes))
+    start = 0  # the steps walked before _walk, on every lane at or above its x
     if case == "drawn":
         xs = draw(0, (1 << data.draw(st.integers(1, 64))) - 1)
     elif case == "all-even":  # every lane stops on step 1: walked 1, all counts 0
         xs = [2 * m for m in draw(1, (1 << 60) - 1)]
     elif case == "no-stop":  # T^j(c * 2^budget - 1) = c * 3^j * 2^(budget-j) - 1 >= x
         xs = [(c << budget) - 1 for c in draw(1, 1 << 20)]
-    else:  # x = -1 (mod 2^k): k shared steps at or above x, then apart
+    elif case == "shared-prefix":  # x = -1 (mod 2^k): k shared steps at or above x, then apart
         k = data.draw(st.integers(1, budget))
         xs = [(c << k) - 1 for c in draw(1, 1 << 20)]
+    else:  # x0 + i * 2^k, as the scan packs a group: walked from T^start, start <= k
+        # x0 = 3 (mod 4) stays at or above itself for its first 2 steps, so start is rarely 0
+        k, x0 = data.draw(st.integers(1, 8)), data.draw(st.integers(0, 1 << 48)) | 3
+        xs = [x0 + (i << k) for i in range(lanes)]
+        walks = [reference_trajectory(v, budget) for v in xs]
+        while start < min(k, budget - 1) and all(w[start + 1] >= v for w, v in zip(walks, xs)):
+            start += 1
+        # the class x0 (mod 2^k) moves rigidly: T^start(x0 + i * 2^k) = T^start(x0) + i * c
+        c = (3 ** sum(t & 1 for t in walks[0][:start])) << (k - start)
+        assert [w[start] for w in walks] == [walks[0][start] + i * c for i in range(lanes)]
     hi = max(xs) + 1
     size = core._lane_bytes(budget, hi)
     ones, guard = core._lane_masks(size, lanes)
-    x = int.from_bytes(b"".join(v.to_bytes(size, "little") for v in xs), "little")
-    steps, full, walked = core._walk(x, ones, guard, 8 * size, budget)
+    pack = lambda vs: int.from_bytes(b"".join(v.to_bytes(size, "little") for v in vs), "little")
+    x = pack(xs)
+    t = pack(reference_trajectory(v, start)[-1] for v in xs)
+    steps, full, walked = core._walk(t, x, ones, guard, 8 * size, budget - start)
+    full, walked = full + start, walked + start
     raw = (steps + full * ones).to_bytes(size * lanes, "little")
     counted = [int.from_bytes(raw[i * size : (i + 1) * size], "little") for i in range(lanes)]
     expected = [reference_count(v, budget) for v in xs]

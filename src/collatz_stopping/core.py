@@ -120,10 +120,14 @@ def _pack(xs, size: int) -> int:
     return int.from_bytes(out, "little")
 
 
-def _unpack(lanes: int, count: int) -> list[int]:
-    """The count ints in the 8-byte lanes of lanes, _pack's inverse at size 8.
-    A value past the count lanes raises OverflowError."""
-    return list(struct.unpack(f"<{count}Q", lanes.to_bytes(8 * count, "little")))
+def _ints(column: bytes) -> list[int]:
+    """The 8-byte little-endian values of a column, as ints, unpacked 8 KB at
+    a time, so that no tuple of a whole column is held beside the list."""
+    ints = []
+    for start in range(0, len(column), 8 * WALK_LANES):
+        chunk = column[start : start + 8 * WALK_LANES]
+        ints += struct.unpack(f"<{len(chunk) >> 3}Q", chunk)
+    return ints
 
 
 def _step(t: int, low: int, w: int) -> int:

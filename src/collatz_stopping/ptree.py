@@ -32,7 +32,7 @@ from math import comb
 from typing import NamedTuple
 
 from . import ladder
-from .core import WALK_LANES, Bits, _lane_masks, _walk
+from .core import WALK_LANES, Bits, _ints, _lane_masks, _walk
 from .diophantine import _level_constants, solve_vector
 from .ladder import _refuse_above, _refuse_below, kappa
 from .triangle import class_counts
@@ -176,16 +176,6 @@ def _walked_classes(n: int) -> bytes:
             raise RuntimeError(f"level {n} holds a class {x} that is not a member")
         column.write(lanes.to_bytes(len(chunk), "little"))
     return column.getvalue()
-
-
-def _ints(column: bytes) -> list[int]:
-    """The 8-byte little-endian values of a column, as ints, unpacked 8 KB at
-    a time, so that no tuple of a whole column is held beside the list."""
-    ints = []
-    for start in range(0, len(column), 8 * WALK_LANES):
-        chunk = column[start : start + 8 * WALK_LANES]
-        ints += struct.unpack(f"<{len(chunk) >> 3}Q", chunk)
-    return ints
 
 
 def _level_classes(n: int) -> bytes:

@@ -6,8 +6,9 @@ level_residues) with the two trivial classes, turned into one byte per
 residue.  Neither route derives its classes from the tree or the triangle
 recurrence, so the three routes can be checked against each other.  Both
 run on core's lane engine: the sieve steps each depth's children with
-_step, and the scan reads each integer's stopping time off _walk, from
-step 8 for a group of lanes that no lane has left by then.
+_step, and the scan reads a group's first 8 steps off its residue mod 2^8,
+walked once per scan, and the rest of a group that no lane has left by
+then off _walk.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 from itertools import compress, repeat
 from operator import add
 
-from .core import WALK_LANES, _lane_bytes, _lane_masks, _pack, _step, _unpack, _walk
+from .core import WALK_LANES, _ints, _lane_bytes, _lane_masks, _pack, _step, _walk
 from .ladder import _refuse_above, _refuse_below, kappa, sigma_n
 from . import ptree
 from .triangle import survivor_counts
@@ -57,7 +58,7 @@ def _double(rs: list[int], qs: list[int], ns: bytes, half: int, pow3: list[int])
         ones = _lane_masks(8, len(chunk))[0]
         t = _pack(chunk, 8)
         odd += (t & ones).to_bytes(8 * len(chunk), "little")[::8]
-        stepped += _unpack(_step(t, ones, 64), len(chunk))
+        stepped += _ints(_step(t, ones, 64).to_bytes(8 * len(chunk), "little"))
     ns = int.from_bytes(ns + ns, "little") + int.from_bytes(odd, "little")
     return rs + list(map(add, rs, repeat(half))), stepped, ns.to_bytes(len(qs), "little")
 
@@ -172,31 +173,41 @@ GROUP_STRIDE = 1 << 8  # a scan group's lanes: one residue mod 2^8, 8 parities s
 
 def _scan_block(lo: int, hi: int, n_max: int) -> tuple:
     """Counts by simulated stopping time (None: beyond the table) and the
-    ascending mismatches of every x in [lo, hi) against n_max's table.
+    ascending mismatches of every x in [lo, hi), lo >= 2, against n_max's
+    table.
 
     [lo, hi) is cut at multiples of GROUP_STRIDE * WALK_LANES into chunks,
     and a table shorter than a chunk is repeated to one, so no group's
     stepped table slice wraps.  In a chunk, group x0 holds x0 + i *
-    GROUP_STRIDE, sharing 8 parities: for j <= 8, T^j of lane i is t + i *
-    c, t = T^j(x0) and c = 3^m * 2^(8-j) (forward_map), so its stop test t -
-    x0 < i * (GROUP_STRIDE - c) is linear in i, and the lanes stopped at j
-    form a run holding an end lane.  Up to min(8, budget - 1) steps, the
-    budget one past the table's last sigma, are walked on x0 alone, while
-    neither end lane has stopped, so no lane has; p is the last such step.
-    If both end lanes first stop at p + 1, every lane does: the group is
-    read off p + 1.  Otherwise _walk takes the last budget - p steps from
-    T^p = t * low + index // 2^8 * c, in W-bit lanes (W = _lane_bytes(budget,
-    hi)): p = min(8, budget - 1) unless the end lanes part, as at x0 = 1,
-    whose lane 257 stops at step 2 while 1 never does (p = 1).  Byte 0 of
-    each lane's count is the steps it stayed at or above x, its stopping
-    time less one.  The simulated times are compared with the group's table
-    bytes and counted in C; only a group that differs is looked at lane by
-    lane.  Beyond the table, memory is one group's int, about 8 KB near hi
-    = 2^48, whatever the range's width.
+    GROUP_STRIDE, all of residue r = x0 mod 2^8: for j <= 8, x = r + q *
+    2^8 has T^j(x) = T^j(r) + q * c, c = 3^m * 2^(8-j) (forward_map), and,
+    a checked fact of the 256 classes, x >= 2 first drops below x at the
+    first j with 3^m < 2^j, where c first falls below 2^8.  So each r is
+    walked once per call for prefix = min(8, budget - 1) steps, the budget
+    one past the table's last sigma, into shared[r] = (stop, t, c): stop is
+    that j, or 0 with t = T^prefix(r).  A group of a stopped r is read off
+    stop with no walk; otherwise _walk takes the last budget - prefix steps
+    from T^prefix = (t + x0 // 2^8 * c) * low + lane * c, in W-bit lanes
+    (W = _lane_bytes(budget, hi)).  Byte 0 of each lane's count is the
+    steps it stayed at or above x, its stopping time less one.  The
+    simulated times are compared with the group's table bytes and counted
+    in C; only a group that differs is looked at lane by lane.  Beyond the
+    table, memory is one group's int, about 8 KB near hi = 2^48, whatever
+    the range's width.
     """
+    _refuse_below("lo", lo, 2)
     budget = sigma_n(n_max) + 1
     stride = GROUP_STRIDE
-    prefix = min(stride.bit_length() - 1, budget - 1)  # shared steps, walked on x0 alone
+    prefix = min(stride.bit_length() - 1, budget - 1)  # steps shared by a residue mod 2^8
+    shared = []
+    for r in range(stride):
+        t, c, stop = r, stride, 0
+        for j in range(1, prefix + 1):
+            t, c = ((3 * t + 1) >> 1, 3 * c >> 1) if t & 1 else (t >> 1, c >> 1)
+            if c < stride:
+                stop = j
+                break
+        shared.append((stop, t, c))
     span = stride * WALK_LANES
     table = _prediction_table(n_max)
     table *= max(1, span // len(table))  # only n_max <= 9 is shorter than a chunk
@@ -220,21 +231,13 @@ def _scan_block(lo: int, hi: int, n_max: int) -> tuple:
                 cut = (1 << (w * n)) - 1
                 ones, base, guard, prev = low & cut, index & cut, top & cut, n
                 lane = base // stride  # i in lane i
-            # lane i's T^j is t + i * c for j <= prefix, and stops where
-            # t - x0 < i * (stride - c): a run of lanes holding an end lane
-            t, c, p = x0, stride, 0
-            for j in range(1, prefix + 1):
-                u, d = ((3 * t + 1) >> 1, 3 * c >> 1) if t & 1 else (t >> 1, c >> 1)
-                head, tail = u < x0, u - x0 < (n - 1) * (stride - d)
-                if head or tail:
-                    break
-                t, c, p = u, d, j
-            if head and tail:  # both end lanes stop first at p + 1, so every lane does
-                steps, full, walked = 0, p, p + 1
-            else:  # no lane has stopped by p
-                t, x = t * ones + lane * c, x0 * ones + base
-                steps, full, walked = _walk(t, x, ones, guard, w, budget - p)
-                full, walked = full + p, walked + p
+            stop, t, c = shared[x0 % stride]
+            if stop:  # every lane first drops below itself at stop
+                steps, full, walked = 0, stop - 1, stop
+            else:  # no lane has dropped by prefix
+                t = (t + x0 // stride * c) * ones + lane * c
+                steps, full, walked = _walk(t, x0 * ones + base, ones, guard, w, budget - prefix)
+                full, walked = full + prefix, walked + prefix
             if steps:
                 raw = (steps + full * ones).to_bytes(n * size, "little")[::size]
                 sims = raw.translate(stopped)
@@ -269,15 +272,15 @@ def verify_range(
     the table horizon are counted as beyond_table, not as mismatches (they
     must then lie in no class at all).  Every x is simulated and compared with
     its table byte by _scan_block: a group of WALK_LANES integers of one
-    residue mod GROUP_STRIDE shares 8 steps, walked on its first integer;
-    its lanes stopped at one of them form a run holding an end lane, so a
-    group is lane-walked, one big-integer step at a time, only from the
-    last of them at which neither end lane has stopped, step 8 unless the
-    end lanes part; mismatches come in ascending x.  The serial call and
-    every worker's share run _scan_block(lo, hi, n_max): one call, or one
-    contiguous share per worker process, at most min(jobs, width //
-    BLOCK_SIZE, CPUs) of them; shares merge in ascending order, so every
-    jobs setting gives one report.
+    residue mod GROUP_STRIDE shares its first 8 steps and, for x >= 2,
+    stops within them exactly where its residue's 3^m first falls below
+    2^j, so the 256 residues are walked once per call, and only a group
+    whose residue has not stopped by step min(8, budget - 1) is lane-walked
+    from there, one big-integer step at a time; mismatches come in
+    ascending x.  The serial call and every worker's share run
+    _scan_block(lo, hi, n_max): one call, or one contiguous share per
+    worker process, at most min(jobs, width // BLOCK_SIZE, CPUs) of them;
+    shares merge in ascending order, so every jobs setting gives one report.
     """
     _refuse_below("x_lo", x_lo, 2)
     if x_hi < x_lo:

@@ -106,9 +106,13 @@ def test_pack_puts_each_value_in_its_own_lane(data, size, lanes):
 
 @settings(max_examples=200, deadline=None)
 @given(data=st.data(), lanes=st.integers(0, 64))
-def test_unpack_reads_back_every_packed_lane(data, lanes):
+def test_ints_reads_back_every_packed_lane(data, lanes):
     xs = data.draw(st.lists(st.integers(0, (1 << 64) - 1), min_size=lanes, max_size=lanes))
-    assert core._unpack(core._pack(xs, 8), len(xs)) == xs
+    packed = core._pack(xs, 8)
+    assert core._ints(packed.to_bytes(8 * lanes, "little")) == xs
+    # a value carried past the last lane is refused by to_bytes, not dropped
+    with pytest.raises(OverflowError):
+        (packed + (1 << 64 * lanes)).to_bytes(8 * lanes, "little")
 
 
 @given(st.integers(min_value=1, max_value=20), st.data())

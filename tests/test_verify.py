@@ -392,11 +392,12 @@ NINE_BYTE_HI = -(-(1 << 63) // 3**17) << 17
         ((1 << 40) + 77, CHUNK, 12),
         ((1 << 36) + 5, CHUNK, 4),
         ((1 << 44) + 201, CHUNK, 3),
+        (2, CHUNK, 2),
     ],
     ids=["wider-than-a-chunk", "table-shorter-than-stride", "from-2", "lanes-past-64-bits",
          "lanes-past-the-table-end", "empty", "first-nine-byte-lanes", "into-the-next-chunk",
          "groups-that-never-stop", "full-chunk-from-2", "full-chunk-from-step-8",
-         "full-chunk-budget-9", "full-chunk-budget-8"],
+         "full-chunk-budget-9", "full-chunk-budget-8", "full-chunk-prefix-5"],
 )
 def test_scan_edges_agree_with_the_reference_scan(lo, width, n_max):
     # past the Hypothesis widths: a chunk that the range enters off its first
@@ -411,7 +412,7 @@ def test_scan_edges_agree_with_the_reference_scan(lo, width, n_max):
     # first lanes are the smallest x a report takes; near 2^40, where a group
     # that no lane has left is walked from step 8; and at budgets 9 and 8,
     # where such a group is walked from step 8, or from step 7, for its last
-    # step
+    # step; and from 2 at n_max 2 (budget 6), where it is walked from step 5
     assert verify_range(lo, lo + width, n_max) == reference_report(lo, lo + width, n_max)
 
 
@@ -443,17 +444,34 @@ def test_only_groups_unstopped_at_step_8_are_walked_from_there(monkeypatch):
     assert calls == [(x0, t, sigma_n(n_max) + 1 - 8) for x0, t in unstopped]
 
 
-def test_a_group_whose_lanes_part_is_walked_from_the_step_before(monkeypatch):
+def test_a_class_mod_256_first_drops_where_3_to_the_m_first_falls_below_2_to_the_j():
+    # x = r + q * 2^8 shares its first 8 parities with r, so for j <= 8,
+    # T^j(x) - x = T^j(x0) - x0 + q * 2^(8-j) * (3^m - 2^j), m the odd steps
+    # among the first j: where 3^m < 2^j it falls as x grows, where 3^m > 2^j
+    # it rises.  So if the least x0 >= 2 of the class first drops at the first
+    # j with 3^m < 2^j, every x of the class does, and if x0 never drops by
+    # step 8 while 3^m > 2^j throughout, no x of the class does
+    for r in range(GROUP_STRIDE):
+        x0 = r if r >= 2 else r + GROUP_STRIDE
+        walk = reference_trajectory(x0, 8)
+        drops = [j for j in range(1, 9) if walk[j] < x0]
+        m, first = 0, None
+        for j in range(1, 9):
+            m += walk[j - 1] & 1
+            if 3**m < 2**j:
+                first = j
+                break
+        assert (drops[0] if drops else None) == first, r
+
+
+def test_the_scan_refuses_x_below_2():
     from collatz_stopping import verify
 
-    # x = 1 never drops below itself, while 257 stops at step 2: the group's
-    # end lanes part there, so no lane has stopped by step 1, and the group
-    # is walked from T(1) = 2 with one step less
-    calls = walk_spy(monkeypatch)
-    counts, mismatches = verify._scan_block(1, 3000, 9)
-    assert (counts, mismatches) == reference_scan(1, 3000, reference_classes(9))
-    assert mismatches[0] == (1, 2, None)
-    assert calls[0] == (1, 2, sigma_n(9))
+    # x = 1 never drops below itself, while 257 stops at step 2: the scan
+    # reads each group's first steps off its class mod 2^8, which holds from
+    # x = 2 on
+    with pytest.raises(ValueError, match="lo must be >= 2, got 1"):
+        verify._scan_block(1, 3000, 9)
 
 
 def test_nine_byte_hi_is_where_the_scan_lanes_widen():

@@ -7,7 +7,7 @@ residue.  Neither route derives its classes from the tree or the triangle
 recurrence, so the three routes can be checked against each other.  Both
 run on core's lane engine: the sieve steps each depth's children with
 _step, and the scan reads a group's first 8 steps off its residue mod 2^8,
-walked once per scan, and the rest of a group that no lane has left by
+walked once per process, and the rest of a group that no lane has left by
 then off _walk.
 """
 
@@ -16,6 +16,7 @@ from __future__ import annotations
 import os
 from collections import Counter, deque
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import compress, repeat
 from operator import add
 
@@ -143,19 +144,29 @@ class VerificationReport:
         return not self.mismatches
 
 
-BLOCK_SIZE = 1 << 21  # the fewest integers a worker process is started for: about break-even
+BLOCK_SIZE = 1 << 23  # the fewest integers a worker process is started for: two win from 2^24
 
 
 def _prediction_table(n_max: int) -> bytearray:
     """table[r] is the sigma of the block of residue_table(n_max) holding
     r (mod 2^top), top the last block's sigma, or 0 when none does.
 
-    Built in ascending sigma by repeating the table up to each block's
-    modulus, so a residue whose byte is already set lies inside a lower
-    class: the blocks are checked disjoint, one lookup per residue.
+    residue_table is read on each call, so every level is certified per
+    call; the table is built once per distinct blocks, so a forged level
+    is built afresh.  Callers share it and only read it: a bytes copy
+    would hold 16 MB twice at n_max 14.
     """
+    return _class_table(tuple(residue_table(n_max)))
+
+
+@lru_cache(maxsize=1)
+def _class_table(blocks: tuple[ResidueBlock, ...]) -> bytearray:
+    """_prediction_table's table of blocks, built in ascending sigma by
+    repeating it up to each block's modulus, so a residue whose byte is
+    already set lies inside a lower class: the blocks are checked
+    disjoint, one lookup per residue."""
     table, prev = bytearray(1), 0
-    for block in residue_table(n_max):
+    for block in blocks:
         table *= 1 << (block.sigma - prev)
         prev = block.sigma
         for r in block.residues:
@@ -168,7 +179,33 @@ def _prediction_table(n_max: int) -> bytearray:
     return table
 
 
+@lru_cache(maxsize=1)
+def _chunk_table(table: bytes, span: int) -> bytes:
+    """A table shorter than a chunk of span integers, repeated to one."""
+    return table * (span // len(table))
+
+
 GROUP_STRIDE = 1 << 8  # a scan group's lanes: one residue mod 2^8, 8 parities shared
+
+
+@lru_cache(maxsize=None)
+def _scan_plan(prefix: int) -> tuple[bytes, tuple[tuple[int, int, int], ...]]:
+    """Each r < GROUP_STRIDE walked prefix steps to its stop, the first step
+    with c = 3^m * 2^(8-j) < 2^8: period[r] is the lane count stop - 1, and
+    each r with no stop is listed, ascending, as (r, T^prefix(r), c)."""
+    stride = GROUP_STRIDE
+    period, unstopped = bytearray(), []
+    for r in range(stride):
+        t, c, stop = r, stride, 0
+        for j in range(1, prefix + 1):
+            t, c = ((3 * t + 1) >> 1, 3 * c >> 1) if t & 1 else (t >> 1, c >> 1)
+            if c < stride:
+                stop = j
+                break
+        period.append(stop - 1 if stop else 0xFF)  # 0xFF: walked and overwritten per chunk
+        if not stop:
+            unstopped.append((r, t, c))
+    return bytes(period), tuple(unstopped)
 
 
 def _scan_block(lo: int, hi: int, n_max: int) -> tuple:
@@ -177,40 +214,35 @@ def _scan_block(lo: int, hi: int, n_max: int) -> tuple:
     table.
 
     [lo, hi) is cut at multiples of GROUP_STRIDE * WALK_LANES into chunks,
-    and a table shorter than a chunk is repeated to one, so no group's
-    stepped table slice wraps.  In a chunk, group x0 holds x0 + i *
-    GROUP_STRIDE, all of residue r = x0 mod 2^8: for j <= 8, x = r + q *
-    2^8 has T^j(x) = T^j(r) + q * c, c = 3^m * 2^(8-j) (forward_map), and,
-    a checked fact of the 256 classes, x >= 2 first drops below x at the
-    first j with 3^m < 2^j, where c first falls below 2^8.  So each r is
-    walked once per call for prefix = min(8, budget - 1) steps, the budget
-    one past the table's last sigma, into shared[r] = (stop, t, c): stop is
-    that j, or 0 with t = T^prefix(r).  A group of a stopped r is read off
-    stop with no walk; otherwise _walk takes the last budget - prefix steps
-    from T^prefix = (t + x0 // 2^8 * c) * low + lane * c, in W-bit lanes
-    (W = _lane_bytes(budget, hi)).  Byte 0 of each lane's count is the
-    steps it stayed at or above x, its stopping time less one.  The
-    simulated times are compared with the group's table bytes and counted
-    in C; only a group that differs is looked at lane by lane.  Beyond the
-    table, memory is one group's int, about 8 KB near hi = 2^48, whatever
-    the range's width.
+    and a table shorter than a chunk is repeated to one, so no chunk's
+    table bytes wrap.  In a chunk, group x0 holds x0 + i * GROUP_STRIDE,
+    all of residue r = x0 mod 2^8: for j <= 8, x = r + q * 2^8 has T^j(x) =
+    T^j(r) + q * c, c = 3^m * 2^(8-j) (forward_map), and, a checked fact of
+    the 256 classes, x >= 2 first drops below x at the first j with 3^m <
+    2^j, where c first falls below 2^8.  So _scan_plan walks each r once
+    per process for prefix = min(8, budget - 1) steps, the budget one past
+    the table's last sigma.  Byte i of a chunk's lane counts is the steps
+    x = first + i stayed at or above itself, its stopping time less one:
+    the plan's period turned to first and repeated, then, in ascending x0,
+    each group of an unstopped r written in by one stepped slice
+    assignment, after _walk takes its last budget - prefix steps from
+    T^prefix = (t + x0 // 2^8 * c) * low + lane * c, in W-bit lanes (W =
+    _lane_bytes(budget, hi)).  The counts are tallied off the period and
+    the walked lanes; one translate turns them into stopping times,
+    compared at once with the table's bytes from first, and only a chunk
+    that differs is read lane by lane.  Memory is two 256 KB byte strings
+    per chunk and one group's int, about 8 KB near hi = 2^48, whatever the
+    range's width.
     """
     _refuse_below("lo", lo, 2)
     budget = sigma_n(n_max) + 1
     stride = GROUP_STRIDE
     prefix = min(stride.bit_length() - 1, budget - 1)  # steps shared by a residue mod 2^8
-    shared = []
-    for r in range(stride):
-        t, c, stop = r, stride, 0
-        for j in range(1, prefix + 1):
-            t, c = ((3 * t + 1) >> 1, 3 * c >> 1) if t & 1 else (t >> 1, c >> 1)
-            if c < stride:
-                stop = j
-                break
-        shared.append((stop, t, c))
+    period, unstopped = _scan_plan(prefix)
     span = stride * WALK_LANES
     table = _prediction_table(n_max)
-    table *= max(1, span // len(table))  # only n_max <= 9 is shorter than a chunk
+    if len(table) < span:  # n_max <= 9: at most 64 KB
+        table = _chunk_table(bytes(table), span)
     mask = len(table) - 1
     size = _lane_bytes(budget, hi)
     w = 8 * size
@@ -224,38 +256,37 @@ def _scan_block(lo: int, hi: int, n_max: int) -> tuple:
     mismatches = []
     for chunk in range(lo - lo % span, hi, span):
         first, end = max(lo, chunk), min(hi, chunk + span)
+        periods, head = divmod(end - first, stride)
+        turned = period[first % stride :] + period[: first % stride]
+        raw = bytearray(turned) * periods
+        raw += turned[:head]
+        walked = bytearray()
         prev = 0  # the last group's lane count
-        for x0 in range(first, min(end, first + stride)):
+        for r, t, c in sorted(unstopped, key=lambda group: (group[0] - first) % stride):
+            x0 = first + (r - first) % stride
             n = len(range(x0, end, stride))
+            if not n:  # the chunk ends before x0, and before every later group
+                break
             if n != prev:  # a chunk's first group, or the first with one lane fewer
                 cut = (1 << (w * n)) - 1
                 ones, base, guard, prev = low & cut, index & cut, top & cut, n
                 lane = base // stride  # i in lane i
-            stop, t, c = shared[x0 % stride]
-            if stop:  # every lane first drops below itself at stop
-                steps, full, walked = 0, stop - 1, stop
-            else:  # no lane has dropped by prefix
-                t = (t + x0 // stride * c) * ones + lane * c
-                steps, full, walked = _walk(t, x0 * ones + base, ones, guard, w, budget - prefix)
-                full, walked = full + prefix, walked + prefix
-            if steps:
-                raw = (steps + full * ones).to_bytes(n * size, "little")[::size]
-                sims = raw.translate(stopped)
-                for s in range(min(walked + 1, budget)):
-                    counts[s] += sims.count(s)
-            else:  # every lane stopped at one step, or none did
-                raw = bytes((full,)) * n
-                sims = raw.translate(stopped)
-                counts[stopped[full]] += n
-            start = x0 & mask
-            pred = table[start : start + stride * n : stride]
-            if sims != pred:
-                for i, (p, s) in enumerate(zip(pred, sims, strict=True)):
-                    if p != s:
-                        v = raw[i]
-                        sim = v + 1 if v < budget else None
-                        mismatches.append((x0 + i * stride, p or None, sim))
-    mismatches.sort()
+            t = (t + x0 // stride * c) * ones + lane * c
+            steps, full, _ = _walk(t, x0 * ones + base, ones, guard, w, budget - prefix)
+            group = (steps + (full + prefix) * ones).to_bytes(n * size, "little")[::size]
+            raw[x0 - first :: stride] = group
+            walked += group
+        for v in range(budget + 1):
+            stops = periods * period.count(v) + turned.count(v, 0, head) + walked.count(v)
+            counts[stopped[v]] += stops
+        sims = raw.translate(stopped)
+        start = first & mask
+        if not table.startswith(sims, start):
+            pred = table[start : start + len(sims)]
+            for i, (p, s) in enumerate(zip(pred, sims, strict=True)):
+                if p != s:
+                    v = raw[i]
+                    mismatches.append((first + i, p or None, v + 1 if v < budget else None))
     return {s or None: c for s, c in enumerate(counts) if c}, mismatches
 
 
@@ -266,21 +297,16 @@ def verify_range(
     it in exactly the predicted class of residue_table(n_max).
 
     The prediction is one byte per residue (mod 2^sigma_n(n_max)): 64 KB at
-    n_max 9, 16 MB at n_max 14, rebuilt by every call and every worker from
-    residue_table, whose classes each process derives and sorts once.
+    n_max 9, 16 MB at n_max 14, built once per process from residue_table,
+    which every call and every worker reads, so every level is certified.
     Simulation runs with budget sigma_n(n_max) + 1; x that do not stop within
     the table horizon are counted as beyond_table, not as mismatches (they
     must then lie in no class at all).  Every x is simulated and compared with
-    its table byte by _scan_block: a group of WALK_LANES integers of one
-    residue mod GROUP_STRIDE shares its first 8 steps and, for x >= 2,
-    stops within them exactly where its residue's 3^m first falls below
-    2^j, so the 256 residues are walked once per call, and only a group
-    whose residue has not stopped by step min(8, budget - 1) is lane-walked
-    from there, one big-integer step at a time; mismatches come in
-    ascending x.  The serial call and every worker's share run
-    _scan_block(lo, hi, n_max): one call, or one contiguous share per
-    worker process, at most min(jobs, width // BLOCK_SIZE, CPUs) of them;
-    shares merge in ascending order, so every jobs setting gives one report.
+    its table byte by _scan_block, and mismatches come in ascending x.  The
+    serial call and every worker's share run _scan_block(lo, hi, n_max): one
+    call, or one contiguous share per worker process, at most min(jobs,
+    width // BLOCK_SIZE, CPUs) of them; shares merge in ascending order, so
+    every jobs setting gives one report.
     """
     _refuse_below("x_lo", x_lo, 2)
     if x_hi < x_lo:

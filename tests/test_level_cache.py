@@ -114,3 +114,29 @@ def test_a_forged_heads_column_is_counted_afresh_past_a_warm_memo(monkeypatch):
         patch.setattr(ptree, "_tree_level", lambda n: (sums, ends, forged) if n == 6 else level(n))
         assert phn_counts(6) == {**true, 2: 6, 7: 2}
     assert phn_counts(6) == true
+
+
+def test_the_scan_builds_its_table_and_plan_once_per_process(monkeypatch):
+    from collatz_stopping import verify
+
+    builders = (verify._class_table, verify._chunk_table, verify._scan_plan)
+    for cache in builders:
+        cache.cache_clear()
+    read, certified = verify.residue_table, []
+    monkeypatch.setattr(verify, "residue_table", lambda n: certified.append(n) or read(n))
+    first = verify_range(2, 4096, 4)
+    table = bytes(verify._prediction_table(4))
+    assert verify_range(2, 4096, 4) == first and first.ok
+    # every call reads the class lists, so every level is certified per call,
+    # while the table, its repeat to a chunk and the walk of the 256
+    # residues mod 2^8 are each made once, by the first scan
+    assert certified == [4, 4, 4]
+    calls = [(c.cache_info().misses, c.cache_info().hits) for c in builders]
+    assert calls == [(1, 2), (1, 1), (1, 1)]
+    # the scans share the one table and leave it as built
+    assert verify._prediction_table(4) == table
+    # the table is keyed on the classes, so dropping 23 from level 2 shows
+    forge_level(monkeypatch, 2, lambda rs: rs - {23})
+    report = verify_range(2, 4096, 4)
+    assert report.mismatches == tuple((x, None, 5) for x in range(23, 4096, 32))
+    assert [c.cache_info().misses for c in builders] == [2, 2, 1]

@@ -393,11 +393,14 @@ NINE_BYTE_HI = -(-(1 << 63) // 3**17) << 17
         ((1 << 36) + 5, CHUNK, 4),
         ((1 << 44) + 201, CHUNK, 3),
         (2, CHUNK, 2),
+        ((1 << 36) - 257, CHUNK + 700, 9),
+        ((1 << 36) - 257, CHUNK + 700, 12),
     ],
     ids=["wider-than-a-chunk", "table-shorter-than-stride", "from-2", "lanes-past-64-bits",
          "lanes-past-the-table-end", "empty", "first-nine-byte-lanes", "into-the-next-chunk",
          "groups-that-never-stop", "full-chunk-from-2", "full-chunk-from-step-8",
-         "full-chunk-budget-9", "full-chunk-budget-8", "full-chunk-prefix-5"],
+         "full-chunk-budget-9", "full-chunk-budget-8", "full-chunk-prefix-5",
+         "two-chunk-ends-repeated-table", "two-chunk-ends"],
 )
 def test_scan_edges_agree_with_the_reference_scan(lo, width, n_max):
     # past the Hypothesis widths: a chunk that the range enters off its first
@@ -412,7 +415,11 @@ def test_scan_edges_agree_with_the_reference_scan(lo, width, n_max):
     # first lanes are the smallest x a report takes; near 2^40, where a group
     # that no lane has left is walked from step 8; and at budgets 9 and 8,
     # where such a group is walked from step 8, or from step 7, for its last
-    # step; and from 2 at n_max 2 (budget 6), where it is walked from step 5
+    # step; and from 2 at n_max 2 (budget 6), where it is walked from step 5.
+    # Last, a window from 255 (mod 256) across two chunk ends, 257 integers
+    # before the first and 443 past the second, so each end chunk holds one
+    # whole period of the 256 residues and part of another: at n_max 9,
+    # whose table is repeated to a chunk, and at 12
     assert verify_range(lo, lo + width, n_max) == reference_report(lo, lo + width, n_max)
 
 

@@ -142,7 +142,7 @@ def _first_nonmember(lanes: int, count: int, sig: int) -> int | None:
     or None: a member has T^sig(x) < x <= min(T^0 .. T^(sig-1)), so it
     stops exactly at sig and _walk counts sig - 1 in its lane."""
     ones, guard = _lane_masks(8, count)
-    steps, full, _ = _walk(lanes, lanes, ones, guard, 64, sig)
+    steps, full = _walk(lanes, lanes, ones, guard, 64, sig)
     bad = (steps + full * ones) ^ (sig - 1) * ones  # lanes that did not count sig - 1
     return ((bad & -bad).bit_length() - 1) >> 6 if bad else None
 

@@ -6,9 +6,9 @@ level_residues) with the two trivial classes, turned into one byte per
 residue.  Neither route derives its classes from the tree or the triangle
 recurrence, so the three routes can be checked against each other.  Both
 run on core's lane engine: the sieve steps each depth's children with
-_step, and the scan reads a group's first 8 steps off its residue mod 2^8,
-walked once per process, and the rest of a group that no lane has left by
-then off _walk.
+_step, and the scan, in whole periods of 256 integers, reads each residue
+mod 2^8's first 8 steps off a walk made once per process, and the rest of
+a residue that no lane has left by then off _walk.
 """
 
 from __future__ import annotations
@@ -144,7 +144,7 @@ class VerificationReport:
         return not self.mismatches
 
 
-BLOCK_SIZE = 1 << 23  # the fewest integers a worker process is started for: two win from 2^24
+BLOCK_SIZE = 1 << 23  # integers per worker process, rounded to nearest: two win from 2^24 - 2
 
 
 def _prediction_table(n_max: int) -> bytearray:
@@ -215,24 +215,24 @@ def _scan_block(lo: int, hi: int, n_max: int) -> tuple:
 
     [lo, hi) is cut at multiples of GROUP_STRIDE * WALK_LANES into chunks,
     and a table shorter than a chunk is repeated to one, so no chunk's
-    table bytes wrap.  In a chunk, group x0 holds x0 + i * GROUP_STRIDE,
-    all of residue r = x0 mod 2^8: for j <= 8, x = r + q * 2^8 has T^j(x) =
+    table bytes wrap.  A chunk [first, end) is scanned in whole periods
+    from base = first - first mod 2^8, so each residue r < 2^8 is a group
+    of the same n lanes x = base + r + i * 2^8.  For j <= 8, T^j(x) =
     T^j(r) + q * c, c = 3^m * 2^(8-j) (forward_map), and, a checked fact of
     the 256 classes, x >= 2 first drops below x at the first j with 3^m <
     2^j, where c first falls below 2^8.  So _scan_plan walks each r once
     per process for prefix = min(8, budget - 1) steps, the budget one past
-    the table's last sigma.  Byte i of a chunk's lane counts is the steps
-    x = first + i stayed at or above itself, its stopping time less one:
-    the plan's period turned to first and repeated, then, in ascending x0,
-    each group of an unstopped r written in by one stepped slice
-    assignment, after _walk takes its last budget - prefix steps from
-    T^prefix = (t + x0 // 2^8 * c) * low + lane * c, in W-bit lanes (W =
-    _lane_bytes(budget, hi)).  The counts are tallied off the period and
-    the walked lanes; one translate turns them into stopping times,
-    compared at once with the table's bytes from first, and only a chunk
-    that differs is read lane by lane.  Memory is two 256 KB byte strings
-    per chunk and one group's int, about 8 KB near hi = 2^48, whatever the
-    range's width.
+    the table's last sigma.  Byte i of the lane counts, x = base + i, is
+    its stopping time less one: the plan's period repeated n times, with
+    each unstopped r's group written in by one stepped slice, after _walk
+    takes its last budget - prefix steps from T^prefix = (t + base // 2^8
+    * c) * ones + lane * c, in _lane_bytes(budget, hi + 2^8)-byte lanes, as
+    padded lanes run up to 255 past hi; below lo = 2 they hold only x = 0
+    and 1, whose residues stop by step 2 and are never walked.  The counts
+    (off the period and the walked lanes) and the compare of the stopping
+    times (one translate) with the table's bytes leave the padding out;
+    only a chunk that differs is read lane by lane.  Memory is two 256 KB
+    byte strings per chunk and one group's int, about 8 KB near hi = 2^48.
     """
     _refuse_below("lo", lo, 2)
     budget = sigma_n(n_max) + 1
@@ -244,11 +244,8 @@ def _scan_block(lo: int, hi: int, n_max: int) -> tuple:
     if len(table) < span:  # n_max <= 9: at most 64 KB
         table = _chunk_table(bytes(table), span)
     mask = len(table) - 1
-    size = _lane_bytes(budget, hi)
+    size = _lane_bytes(budget, hi + stride)
     w = 8 * size
-    lanes = min(WALK_LANES, len(range(lo, hi, stride)))
-    low, top = _lane_masks(size, lanes)
-    index = _pack(range(0, stride * lanes, stride), size)
     # v steps at or above x: stopped at v + 1; a stop at the budget is beyond
     # the table, like no stop at all, and both read 0
     stopped = bytes(range(1, budget)) + bytes(257 - budget)
@@ -256,37 +253,30 @@ def _scan_block(lo: int, hi: int, n_max: int) -> tuple:
     mismatches = []
     for chunk in range(lo - lo % span, hi, span):
         first, end = max(lo, chunk), min(hi, chunk + span)
-        periods, head = divmod(end - first, stride)
-        turned = period[first % stride :] + period[: first % stride]
-        raw = bytearray(turned) * periods
-        raw += turned[:head]
+        base = first - first % stride
+        a, b = first - base, end - base  # the chunk's own lanes: raw[a:b]
+        n = -(-b // stride)  # lanes per group
+        raw = bytearray(period) * n
+        ones, guard = _lane_masks(size, n)
+        lane = _pack(range(n), size)
+        index = lane * stride
         walked = bytearray()
-        prev = 0  # the last group's lane count
-        for r, t, c in sorted(unstopped, key=lambda group: (group[0] - first) % stride):
-            x0 = first + (r - first) % stride
-            n = len(range(x0, end, stride))
-            if not n:  # the chunk ends before x0, and before every later group
-                break
-            if n != prev:  # a chunk's first group, or the first with one lane fewer
-                cut = (1 << (w * n)) - 1
-                ones, base, guard, prev = low & cut, index & cut, top & cut, n
-                lane = base // stride  # i in lane i
-            t = (t + x0 // stride * c) * ones + lane * c
-            steps, full, _ = _walk(t, x0 * ones + base, ones, guard, w, budget - prefix)
+        for r, t, c in unstopped:
+            t = (t + base // stride * c) * ones + lane * c
+            steps, full = _walk(t, (base + r) * ones + index, ones, guard, w, budget - prefix)
             group = (steps + (full + prefix) * ones).to_bytes(n * size, "little")[::size]
-            raw[x0 - first :: stride] = group
+            raw[r::stride] = group
             walked += group
         for v in range(budget + 1):
-            stops = periods * period.count(v) + turned.count(v, 0, head) + walked.count(v)
+            stops = n * period.count(v) + walked.count(v) - raw.count(v, 0, a) - raw.count(v, b)
             counts[stopped[v]] += stops
         sims = raw.translate(stopped)
-        start = first & mask
-        if not table.startswith(sims, start):
-            pred = table[start : start + len(sims)]
-            for i, (p, s) in enumerate(zip(pred, sims, strict=True)):
-                if p != s:
+        start = base & mask
+        if not table.startswith(memoryview(sims)[a:b], start + a):
+            for i, p in enumerate(table[start + a : start + b], a):
+                if p != sims[i]:
                     v = raw[i]
-                    mismatches.append((first + i, p or None, v + 1 if v < budget else None))
+                    mismatches.append((base + i, p or None, v + 1 if v < budget else None))
     return {s or None: c for s, c in enumerate(counts) if c}, mismatches
 
 
@@ -305,8 +295,8 @@ def verify_range(
     its table byte by _scan_block, and mismatches come in ascending x.  The
     serial call and every worker's share run _scan_block(lo, hi, n_max): one
     call, or one contiguous share per worker process, at most min(jobs,
-    width // BLOCK_SIZE, CPUs) of them; shares merge in ascending order, so
-    every jobs setting gives one report.
+    width / BLOCK_SIZE rounded half up, CPUs) of them; shares merge in
+    ascending order, so every jobs setting gives one report.
     """
     _refuse_below("x_lo", x_lo, 2)
     if x_hi < x_lo:
@@ -314,7 +304,7 @@ def verify_range(
     _refuse_below("jobs", jobs, 1)
     ptree._check_level(n_max)  # before any table is built or process started
     # the pool starts all max_workers processes at the first submit
-    workers = min(jobs, (x_hi - x_lo) // BLOCK_SIZE, os.cpu_count() or 1)
+    workers = min(jobs, (x_hi - x_lo + BLOCK_SIZE // 2) // BLOCK_SIZE, os.cpu_count() or 1)
     if workers <= 1:
         results = [_scan_block(x_lo, x_hi, n_max)]
     else:

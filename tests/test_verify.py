@@ -395,12 +395,16 @@ NINE_BYTE_HI = -(-(1 << 63) // 3**17) << 17
         (2, CHUNK, 2),
         ((1 << 36) - 257, CHUNK + 700, 9),
         ((1 << 36) - 257, CHUNK + 700, 12),
+        (5, 250, 9),
+        (NINE_BYTE_HI - 3100, 3000, 9),
+        ((1 << 64) + 250, 12, 12),
     ],
     ids=["wider-than-a-chunk", "table-shorter-than-stride", "from-2", "lanes-past-64-bits",
          "lanes-past-the-table-end", "empty", "first-nine-byte-lanes", "into-the-next-chunk",
          "groups-that-never-stop", "full-chunk-from-2", "full-chunk-from-step-8",
          "full-chunk-budget-9", "full-chunk-budget-8", "full-chunk-prefix-5",
-         "two-chunk-ends-repeated-table", "two-chunk-ends"],
+         "two-chunk-ends-repeated-table", "two-chunk-ends", "padding-from-0",
+         "padded-nine-byte-lane", "two-lanes-astride-a-stride"],
 )
 def test_scan_edges_agree_with_the_reference_scan(lo, width, n_max):
     # past the Hypothesis widths: a chunk that the range enters off its first
@@ -419,7 +423,11 @@ def test_scan_edges_agree_with_the_reference_scan(lo, width, n_max):
     # Last, a window from 255 (mod 256) across two chunk ends, 257 integers
     # before the first and 443 past the second, so each end chunk holds one
     # whole period of the 256 residues and part of another: at n_max 9,
-    # whose table is repeated to a chunk, and at 12
+    # whose table is repeated to a chunk, and at 12.  Then the padding of a
+    # chunk scanned in whole periods of 256: one period whose padding holds
+    # x = 0..4; a window ending 100 below NINE_BYTE_HI, whose padded top
+    # lane x = NINE_BYTE_HI - 1 is the worst-case 9-byte walk; and 12
+    # integers astride a multiple of 256, so every group has two lanes
     assert verify_range(lo, lo + width, n_max) == reference_report(lo, lo + width, n_max)
 
 
@@ -811,7 +819,7 @@ def test_walk_counts_every_lane_like_the_reference_trajectory(data, budget, case
     start = 0  # the steps walked before _walk, on every lane at or above its x
     if case == "drawn":
         xs = draw(0, (1 << data.draw(st.integers(1, 64))) - 1)
-    elif case == "all-even":  # every lane stops on step 1: walked 1, all counts 0
+    elif case == "all-even":  # every lane stops on step 1: all counts 0
         xs = [2 * m for m in draw(1, (1 << 60) - 1)]
     elif case == "no-stop":  # T^j(c * 2^budget - 1) = c * 3^j * 2^(budget-j) - 1 >= x
         xs = [(c << budget) - 1 for c in draw(1, 1 << 20)]
@@ -834,20 +842,19 @@ def test_walk_counts_every_lane_like_the_reference_trajectory(data, budget, case
     pack = lambda vs: int.from_bytes(b"".join(v.to_bytes(size, "little") for v in vs), "little")
     x = pack(xs)
     t = pack(reference_trajectory(v, start)[-1] for v in xs)
-    steps, full, walked = core._walk(t, x, ones, guard, 8 * size, budget - start)
-    full, walked = full + start, walked + start
+    steps, full = core._walk(t, x, ones, guard, 8 * size, budget - start)
+    full += start
     raw = (steps + full * ones).to_bytes(size * lanes, "little")
     counted = [int.from_bytes(raw[i * size : (i + 1) * size], "little") for i in range(lanes)]
     expected = [reference_count(v, budget) for v in xs]
     assert counted == [count for count, _ in expected]
     assert raw[::size] == bytes(count for count, _ in expected)
-    assert walked == max(budget if stop is None else stop for _, stop in expected)
     # steps is 0 exactly when every lane stops at one step (or none stops)
     assert (steps == 0) == (len({stop for _, stop in expected}) == 1)
     if case == "all-even":
-        assert walked == 1 and steps == 0 and full == 0
+        assert steps == 0 and full == 0
     if case == "no-stop":
-        assert walked == budget and steps == 0 and full == budget
+        assert steps == 0 and full == budget
 
 
 def test_a_level_that_never_closes_is_refused(monkeypatch):
@@ -1043,6 +1050,22 @@ def _in_process_pool(monkeypatch, cpus):
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
     monkeypatch.setattr(verify.os, "cpu_count", lambda: cpus)
     return pools
+
+
+def test_verify_starts_two_workers_from_a_width_of_2_to_the_24_less_2(monkeypatch):
+    from collatz_stopping import verify
+
+    # verify --max-bits k scans [2, 2^k): two workers win 1.30x at 2^24 and
+    # 1.03x, within noise, at 2^23, so only the wider width starts a pool
+    pools = _in_process_pool(monkeypatch, 2)
+    monkeypatch.setattr(verify, "_scan_block", lambda lo, hi, n_max: ({None: hi - lo}, []))
+    for bits, workers in ((23, []), (24, [2])):
+        pools.clear()
+        report = verify_range(2, 1 << bits, 14, jobs=2)
+        assert [w for w, _ in pools] == workers
+        assert report.beyond_table == (1 << bits) - 2
+        for w, shares in pools:
+            _assert_tiling(shares, 2, 1 << bits)
 
 
 def _assert_tiling(shares, lo, hi):

@@ -23,6 +23,13 @@ def t_step(x: int) -> int:
     return x // 2 if x % 2 == 0 else (3 * x + 1) // 2
 
 
+def _refuse_steps(what: str, steps: int) -> None:
+    """Refuse steps above kappa(MAX_LADDER_TERMS), read per call."""
+    n = ladder.MAX_LADDER_TERMS
+    bound = ladder.kappa(n)
+    ladder._refuse_above(what, steps, bound, lambda: f"{bound} steps (kappa({n}))")
+
+
 def trajectory(x: int, steps: int) -> list[int]:
     """The terms T^0(x) .. T^steps(x), steps <= kappa(MAX_LADDER_TERMS).
 
@@ -31,9 +38,7 @@ def trajectory(x: int, steps: int) -> list[int]:
     holds 273 MB and takes about 1 s."""
     ladder._refuse_below("x", x, 1)
     ladder._refuse_below("steps", steps, 0)
-    n = ladder.MAX_LADDER_TERMS
-    bound = ladder.kappa(n)
-    ladder._refuse_above("trajectories are", steps, bound, lambda: f"{bound} steps (kappa({n}))")
+    _refuse_steps("trajectories are", steps)
     bits = MAX_STOPPING_BITS
     ladder._refuse_above("trajectory inputs are", x.bit_length(), bits, lambda: f"{bits} bits")
     terms, t = [x], x
@@ -56,9 +61,7 @@ def stopping_time(x: int, cap: int) -> int | None:
     if x < 2:
         raise ValueError(f"stopping time is undefined for x < 2, got {x}")
     ladder._refuse_below("cap", cap, 1)
-    n = ladder.MAX_LADDER_TERMS
-    bound = ladder.kappa(n)
-    ladder._refuse_above("step caps are", cap, bound, lambda: f"{bound} steps (kappa({n}))")
+    _refuse_steps("step caps are", cap)
     bits = MAX_STOPPING_BITS
     ladder._refuse_above("stopping time inputs are", x.bit_length(), bits, lambda: f"{bits} bits")
     t = x
@@ -80,7 +83,8 @@ def parity_vector_of(x: int, n: int) -> Bits:
 def forward_map(r: int, k: int) -> tuple[int, int]:
     """Push the residue r through k steps: (q, n) with q = T^k(r) and n the
     number of odd terms among T^0(r) .. T^(k-1)(r), both read off
-    trajectory(r, k), whose step and bit bounds it inherits; r = 0 gives (0, 0).
+    trajectory(r, k), whose step and bit bounds it inherits; r = 0 gives
+    (0, 0), past the same step bound only.
 
     For every m >= 0, T^k(r + m*2^k) = q + m*3^n: the whole class r (mod 2^k)
     shares the parity prefix, so the class moves rigidly onto q (mod 3^n).
@@ -88,6 +92,7 @@ def forward_map(r: int, k: int) -> tuple[int, int]:
     ladder._refuse_below("step count", k, 1)
     if r < 0 or r.bit_length() > k:
         raise ValueError(f"residue must satisfy 0 <= r < 2^{k}, got {r}")
+    _refuse_steps("trajectories are", k)
     if not r:
         return 0, 0
     *head, q = trajectory(r, k)

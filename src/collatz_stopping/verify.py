@@ -1,10 +1,10 @@
 """The brute-force routes that check the tree's class lists.
 
 sieve is the doubling survival sieve; verify_range simulates every integer
-of a range against residue_table, the tree's class lists (ptree's
-level_residues) with the two trivial classes, turned into one byte per
-residue.  Neither route derives its classes from the tree or the triangle
-recurrence, so the three routes can be checked against each other.  Both
+of a range against one byte per residue, written from the tree's class
+columns (ptree's _level_classes) and the two trivial classes.  Neither route
+derives its classes from the tree or the triangle recurrence, so the three
+routes can be checked against each other.  Both
 run on core's lane engine: the sieve steps each depth's children with
 _step, and the scan, in whole periods of 256 integers, reads each residue
 mod 2^8's first 8 steps off a walk made once per process, and the rest of
@@ -112,12 +112,15 @@ class ResidueBlock:
         return 1 << self.sigma
 
 
+TRIVIAL_CLASSES = ((1, 0), (2, 1))  # (sigma, residue): the even numbers, and 1 (mod 4)
+
+
 def residue_table(n_max: int) -> list[ResidueBlock]:
     """Stopping-time classes: the trivial sigma = 1, 2 blocks followed by the
     ascending class list of each level n = 1..n_max, ptree's level_residues:
     new blocks on every call around each level's tuple, sorted once per process."""
     ptree._check_level(n_max)
-    trivial = [ResidueBlock(1, None, (0,)), ResidueBlock(2, None, (1,))]
+    trivial = [ResidueBlock(sigma, None, (r,)) for sigma, r in TRIVIAL_CLASSES]
     levels = range(1, n_max + 1)
     return trivial + [ResidueBlock(sigma_n(n), n, ptree.level_residues(n)) for n in levels]
 
@@ -145,47 +148,44 @@ class VerificationReport:
 
 
 BLOCK_SIZE = 1 << 23  # integers per worker process, rounded to nearest: two win from 2^24 - 2
+GROUP_STRIDE = 1 << 8  # a scan group's lanes: one residue mod 2^8, 8 parities shared
 
 
 def _prediction_table(n_max: int) -> bytearray:
-    """table[r] is the sigma of the block of residue_table(n_max) holding
-    r (mod 2^top), top the last block's sigma, or 0 when none does.
+    """table[r] is the sigma of the class holding r (mod 2^top), top =
+    sigma_n(n_max), or 0 when none does: one period of 2^top bytes, repeated
+    up to a scan chunk of GROUP_STRIDE * WALK_LANES bytes when shorter.
 
-    residue_table is read on each call, so every level is certified per
-    call; the table is built once per distinct blocks, so a forged level
-    is built afresh.  Callers share it and only read it: a bytes copy
-    would hold 16 MB twice at n_max 14.
+    Each level's class column is read on each call, so every level is
+    certified per call; the table is built once per distinct columns, so a
+    forged level is built afresh.  Callers share it and only read it: a
+    bytes copy would hold 16 MB twice at n_max 14.
     """
-    return _class_table(tuple(residue_table(n_max)))
+    ptree._check_level(n_max)
+    return _class_table(tuple(ptree._level_classes(n) for n in range(1, n_max + 1)))
 
 
 @lru_cache(maxsize=1)
-def _class_table(blocks: tuple[ResidueBlock, ...]) -> bytearray:
-    """_prediction_table's table of blocks, built in ascending sigma by
-    repeating it up to each block's modulus, so a residue whose byte is
-    already set lies inside a lower class: the blocks are checked
-    disjoint, one lookup per residue."""
+def _class_table(columns: tuple[bytes, ...]) -> bytearray:
+    """_prediction_table's table of the trivial classes and levels 1..'s
+    class columns, built in ascending sigma by repeating it up to each
+    modulus, so a residue whose byte is already set lies inside a lower
+    class: the classes are checked disjoint, one lookup per residue."""
+    classes = [(sigma, (r,)) for sigma, r in TRIVIAL_CLASSES]
+    classes += ((sigma_n(n), _ints(column)) for n, column in enumerate(columns, start=1))
     table, prev = bytearray(1), 0
-    for block in blocks:
-        table *= 1 << (block.sigma - prev)
-        prev = block.sigma
-        for r in block.residues:
+    for sigma, residues in classes:
+        table *= 1 << (sigma - prev)
+        prev = sigma
+        for r in residues:
             if low := table[r]:
                 raise RuntimeError(
                     f"class {r} (mod 2^{prev}) lies inside class "
                     f"{r & ((1 << low) - 1)} (mod 2^{low})"
                 )
             table[r] = prev
+    table *= max(1, (GROUP_STRIDE * WALK_LANES) >> prev)  # n_max <= 9: up to one chunk
     return table
-
-
-@lru_cache(maxsize=1)
-def _chunk_table(table: bytes, span: int) -> bytes:
-    """A table shorter than a chunk of span integers, repeated to one."""
-    return table * (span // len(table))
-
-
-GROUP_STRIDE = 1 << 8  # a scan group's lanes: one residue mod 2^8, 8 parities shared
 
 
 @lru_cache(maxsize=None)
@@ -214,8 +214,8 @@ def _scan_block(lo: int, hi: int, n_max: int) -> tuple:
     table.
 
     [lo, hi) is cut at multiples of GROUP_STRIDE * WALK_LANES into chunks,
-    and a table shorter than a chunk is repeated to one, so no chunk's
-    table bytes wrap.  A chunk [first, end) is scanned in whole periods
+    and the table is at least a chunk long, so no chunk's table
+    bytes wrap.  A chunk [first, end) is scanned in whole periods
     from base = first - first mod 2^8, so each residue r < 2^8 is a group
     of the same n lanes x = base + r + i * 2^8.  For j <= 8, T^j(x) =
     T^j(r) + q * c, c = 3^m * 2^(8-j) (forward_map), and, a checked fact of
@@ -241,8 +241,6 @@ def _scan_block(lo: int, hi: int, n_max: int) -> tuple:
     period, unstopped = _scan_plan(prefix)
     span = stride * WALK_LANES
     table = _prediction_table(n_max)
-    if len(table) < span:  # n_max <= 9: at most 64 KB
-        table = _chunk_table(bytes(table), span)
     mask = len(table) - 1
     size = _lane_bytes(budget, hi + stride)
     w = 8 * size
@@ -286,9 +284,10 @@ def verify_range(
     """Check every x in [x_lo, x_hi): its simulated stopping time must place
     it in exactly the predicted class of residue_table(n_max).
 
-    The prediction is one byte per residue (mod 2^sigma_n(n_max)): 64 KB at
-    n_max 9, 16 MB at n_max 14, built once per process from residue_table,
-    which every call and every worker reads, so every level is certified.
+    The prediction is one byte per residue (mod 2^sigma_n(n_max)), repeated
+    to at least one 256 KB scan chunk: 16 MB at n_max 14, built once per
+    process from the tree's class columns (ptree._level_classes), which
+    every call and every worker reads, so every level is certified.
     Simulation runs with budget sigma_n(n_max) + 1; x that do not stop within
     the table horizon are counted as beyond_table, not as mismatches (they
     must then lie in no class at all).  Every x is simulated and compared with

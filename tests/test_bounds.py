@@ -31,6 +31,7 @@ BOUNDED = {
     "parity_vector_of": (lambda n: core.parity_vector_of(3, n), 100_001, 0),
     "trajectory": (lambda steps: core.trajectory(3, steps), 158_497, 0),
     "forward_map": (lambda k: core.forward_map(1, k), 158_497, 0),
+    "forward_map_of_0": (lambda k: core.forward_map(0, k), 158_497, 0),
     "stopping_time": (lambda cap: core.stopping_time(3, cap), 158_497, 0),
     "check_corollary3_delta": (lambda n: diophantine.check_corollary3_delta(0, 0, n, 1), 100_001, 0),
     "sieve": (verify.sieve, 27, 26),

@@ -70,10 +70,14 @@ def test_each_levels_classes_are_sorted_once_per_process(monkeypatch):
     # one sort per level 1..12, and every reader gets that level's one tuple
     info = ptree._ascending.cache_info()
     assert info.misses == info.currsize == 12
-    assert len(returned) == 3 * 12 + 1
+    assert len(returned) == 2 * 12 + 1
     first = {}
     for n, residues in returned:
         assert residues is first.setdefault(n, residues)
+    # the scan writes its table from the class columns, in no order
+    ptree._ascending.cache_clear()
+    assert verify_range(2, 4096, 12).ok
+    assert ptree._ascending.cache_info().currsize == 0
 
 
 def test_a_forged_level_is_sorted_afresh_past_a_warm_memo(monkeypatch):
@@ -119,24 +123,24 @@ def test_a_forged_heads_column_is_counted_afresh_past_a_warm_memo(monkeypatch):
 def test_the_scan_builds_its_table_and_plan_once_per_process(monkeypatch):
     from collatz_stopping import verify
 
-    builders = (verify._class_table, verify._chunk_table, verify._scan_plan)
+    builders = (verify._class_table, verify._scan_plan)
     for cache in builders:
         cache.cache_clear()
-    read, certified = verify.residue_table, []
-    monkeypatch.setattr(verify, "residue_table", lambda n: certified.append(n) or read(n))
+    read, certified = ptree._level_classes, []
+    monkeypatch.setattr(ptree, "_level_classes", lambda n: certified.append(n) or read(n))
     first = verify_range(2, 4096, 4)
     table = bytes(verify._prediction_table(4))
     assert verify_range(2, 4096, 4) == first and first.ok
-    # every call reads the class lists, so every level is certified per call,
-    # while the table, its repeat to a chunk and the walk of the 256
+    # every call reads the class columns, so every level is certified per
+    # call, while the table, repeated to a chunk, and the walk of the 256
     # residues mod 2^8 are each made once, by the first scan
-    assert certified == [4, 4, 4]
+    assert certified == [1, 2, 3, 4] * 3
     calls = [(c.cache_info().misses, c.cache_info().hits) for c in builders]
-    assert calls == [(1, 2), (1, 1), (1, 1)]
+    assert calls == [(1, 2), (1, 1)]
     # the scans share the one table and leave it as built
     assert verify._prediction_table(4) == table
     # the table is keyed on the classes, so dropping 23 from level 2 shows
     forge_level(monkeypatch, 2, lambda rs: rs - {23})
     report = verify_range(2, 4096, 4)
     assert report.mismatches == tuple((x, None, 5) for x in range(23, 4096, 32))
-    assert [c.cache_info().misses for c in builders] == [2, 2, 1]
+    assert [c.cache_info().misses for c in builders] == [2, 1]

@@ -347,17 +347,20 @@ def test_verify_range_refuses_a_class_inside_a_trivial_block(monkeypatch):
     assert str(refused.value) == "class 4 (mod 2^5) lies inside class 0 (mod 2^1)"
 
 
-@pytest.mark.parametrize("n_max", range(1, 13))
+@pytest.mark.parametrize("n_max", range(1, 15))
 def test_prediction_table_holds_each_level_its_triangle_share(n_max):
     from collatz_stopping import verify
 
     table = verify._prediction_table(n_max)
     top = sigma_n(n_max)
-    assert len(table) == 2**top
+    # one period of 2^top bytes, repeated up to one scan chunk
+    assert len(table) == max(2**top, CHUNK)
+    period = table[: 2**top]
+    assert table == period * (len(table) >> top)
     # one byte per residue (mod 2^top): a class mod 2^sigma fills 2^(top - sigma)
-    assert table.count(1) == 1 << (top - 1) and table.count(2) == 1 << (top - 2)
+    assert period.count(1) == 1 << (top - 1) and period.count(2) == 1 << (top - 2)
     for n, z in enumerate(class_counts(n_max), start=1):
-        assert table.count(sigma_n(n)) == z << (top - sigma_n(n))
+        assert period.count(sigma_n(n)) == z << (top - sigma_n(n))
 
 
 @settings(max_examples=40, deadline=None)
